@@ -3,7 +3,7 @@
 //! Drop-in stand-ins for `std::sync::{Mutex, RwLock, Condvar}` and the
 //! `AtomicU64`/`AtomicUsize`/`AtomicI64` cells, with the same method
 //! signatures the production code uses (including `LockResult` returns,
-//! so `unpoisoned()` helpers work unchanged). Inside an
+//! so [`crate::sync::unpoisoned`] works unchanged). Inside an
 //! [`explore`](crate::explore) closure every operation traps into the
 //! execution's scheduler; outside one, each type falls back to plain
 //! `std` behaviour, so code compiled against the model still runs
@@ -19,9 +19,10 @@
 use std::cell::RefCell;
 use std::ops::{Deref, DerefMut};
 use std::sync::atomic::Ordering;
-use std::sync::{Arc, LockResult, OnceLock, PoisonError};
+use std::sync::{Arc, LockResult, OnceLock};
 
 use crate::sched::{Aborted, Exec, ObjKind, Op, Tid};
+use crate::sync::unpoisoned;
 
 thread_local! {
     static CTX: RefCell<Option<Ctx>> = const { RefCell::new(None) };
@@ -105,10 +106,6 @@ impl ModelId {
         );
         Some((c, id))
     }
-}
-
-fn unpoison<G>(r: Result<G, PoisonError<G>>) -> G {
-    r.unwrap_or_else(PoisonError::into_inner)
 }
 
 // ---------------------------------------------------------------------
@@ -263,7 +260,7 @@ impl<T> Mutex<T> {
         if let Some((c, id)) = &model {
             c.exec.step(c.tid, Op::Lock { obj: *id });
         }
-        let inner = unpoison(self.inner.lock());
+        let inner = unpoisoned(self.inner.lock());
         Ok(MutexGuard {
             lock: self,
             inner: Some(inner),
@@ -342,7 +339,7 @@ impl<T> RwLock<T> {
         if let Some((c, id)) = &model {
             c.exec.step(c.tid, Op::ReadLock { obj: *id });
         }
-        let inner = unpoison(self.inner.read());
+        let inner = unpoisoned(self.inner.read());
         Ok(RwLockReadGuard {
             inner: Some(inner),
             model,
@@ -356,7 +353,7 @@ impl<T> RwLock<T> {
         if let Some((c, id)) = &model {
             c.exec.step(c.tid, Op::WriteLock { obj: *id });
         }
-        let inner = unpoison(self.inner.write());
+        let inner = unpoisoned(self.inner.write());
         Ok(RwLockWriteGuard {
             inner: Some(inner),
             model,
@@ -457,7 +454,7 @@ impl Condvar {
                         lock: mid,
                     },
                 );
-                let inner = unpoison(lock.inner.lock());
+                let inner = unpoisoned(lock.inner.lock());
                 Ok(MutexGuard {
                     lock,
                     inner: Some(inner),
@@ -470,7 +467,7 @@ impl Condvar {
                 let lock = guard.lock;
                 let std_guard = guard.inner.take().expect("guard holds the inner lock");
                 drop(guard);
-                let inner = unpoison(self.inner.wait(std_guard));
+                let inner = unpoisoned(self.inner.wait(std_guard));
                 Ok(MutexGuard {
                     lock,
                     inner: Some(inner),
@@ -505,7 +502,7 @@ impl Condvar {
                 drop(guard);
                 c.exec.step(c.tid, Op::Unlock { obj: mid });
                 c.exec.step(c.tid, Op::Lock { obj: mid });
-                let inner = unpoison(lock.inner.lock());
+                let inner = unpoisoned(lock.inner.lock());
                 Ok((
                     MutexGuard {
                         lock,
@@ -521,7 +518,7 @@ impl Condvar {
                 let lock = guard.lock;
                 let std_guard = guard.inner.take().expect("guard holds the inner lock");
                 drop(guard);
-                let (inner, res) = unpoison(self.inner.wait_timeout(std_guard, dur));
+                let (inner, res) = unpoisoned(self.inner.wait_timeout(std_guard, dur));
                 Ok((
                     MutexGuard {
                         lock,
@@ -605,7 +602,7 @@ pub mod thread {
                 let real = std::thread::spawn(move || {
                     runner(exec, tid, move || {
                         let v = f();
-                        *unpoison(slot2.lock()) = Some(v);
+                        *unpoisoned(slot2.lock()) = Some(v);
                     })
                 });
                 JoinHandle {
@@ -616,7 +613,7 @@ pub mod thread {
             }
             None => {
                 let real = std::thread::spawn(move || {
-                    *unpoison(slot2.lock()) = Some(f());
+                    *unpoisoned(slot2.lock()) = Some(f());
                 });
                 JoinHandle {
                     model: None,
@@ -637,7 +634,7 @@ pub mod thread {
             }
             let real = self.real.take().expect("join consumes the handle");
             real.join()?;
-            match unpoison(self.slot.lock()).take() {
+            match unpoisoned(self.slot.lock()).take() {
                 Some(v) => Ok(v),
                 None => Err(Box::new("model thread finished without a result")),
             }

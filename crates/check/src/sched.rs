@@ -48,6 +48,8 @@
 use std::sync::atomic::Ordering;
 use std::sync::{Condvar as StdCondvar, Mutex as StdMutex, MutexGuard as StdMutexGuard};
 
+use crate::sync::unpoisoned;
+
 /// Model-thread identifier: index into the execution's thread table.
 pub(crate) type Tid = usize;
 
@@ -426,17 +428,12 @@ impl Exec {
     }
 
     fn lock(&self) -> StdMutexGuard<'_, ExecState> {
-        self.st
-            .lock()
-            .unwrap_or_else(std::sync::PoisonError::into_inner)
+        unpoisoned(self.st.lock())
     }
 
     fn wait<'a>(&self, g: StdMutexGuard<'a, ExecState>) -> StdMutexGuard<'a, ExecState> {
         if std::env::var_os("WILOCATOR_CHECK_TRACE_RUNS").is_some() {
-            let (g, to) = self
-                .cv
-                .wait_timeout(g, std::time::Duration::from_secs(2))
-                .unwrap_or_else(std::sync::PoisonError::into_inner);
+            let (g, to) = unpoisoned(self.cv.wait_timeout(g, std::time::Duration::from_secs(2)));
             if to.timed_out() {
                 eprintln!(
                     "[dbg] STALL granted={:?} active={:?} aborting={} cursor={} treelen={} statuses={:?}",
@@ -450,9 +447,7 @@ impl Exec {
             }
             return g;
         }
-        self.cv
-            .wait(g)
-            .unwrap_or_else(std::sync::PoisonError::into_inner)
+        unpoisoned(self.cv.wait(g))
     }
 
     /// Registers a new virtual sync object and returns its id. Not a

@@ -26,6 +26,20 @@ pub use crate::model::{
 
 pub use std::sync::Arc;
 
+/// Enters a lock even when a previous holder panicked.
+///
+/// Every lock taken through this helper guards plain data with no
+/// multi-step invariant spanning an unlock, so the state behind a
+/// poisoned lock is still consistent; recovering the guard keeps one
+/// panicked request from turning into a permanently poisoned server.
+/// The serving path itself is panic-free (enforced by wilocator-lint
+/// W002), so in practice this recovery never fires. The virtual
+/// primitives return `std`'s `LockResult` too, so the same helper
+/// serves both build modes.
+pub fn unpoisoned<G>(result: Result<G, std::sync::PoisonError<G>>) -> G {
+    result.unwrap_or_else(std::sync::PoisonError::into_inner)
+}
+
 /// Atomic cells and orderings (`Ordering` is always the `std` enum).
 pub mod atomic {
     #[cfg(not(wilocator_check))]

@@ -63,8 +63,9 @@
 use std::collections::{BTreeMap, VecDeque};
 
 use crate::sync::atomic::{AtomicU64, Ordering};
-use crate::sync::{Arc, Mutex};
+use crate::sync::{unpoisoned, Arc, Mutex};
 
+use wilocator_obs::histogram::{bucket_index, bucket_upper, BUCKETS};
 use wilocator_obs::{
     metric_key, Clock, Collect, Counter, MetricsSnapshot, SeriesKind, SeriesView, TimeSeries,
     TimeSeriesConfig, TraceCtx, TraceData,
@@ -76,13 +77,6 @@ use wilocator_svd::Fix;
 use crate::report::{BusKey, ScanReport};
 use crate::snapshot::ArrivalEntry;
 use crate::tracker::crossing_time;
-
-/// Enters a lock even when a previous holder panicked (same argument as
-/// the server's shard locks: quality state is plain data with no
-/// multi-step invariant spanning an unlock).
-fn unpoisoned<G>(result: Result<G, std::sync::PoisonError<G>>) -> G {
-    result.unwrap_or_else(std::sync::PoisonError::into_inner)
-}
 
 /// Quality-plane configuration.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -167,39 +161,18 @@ impl Default for SloConfig {
 // Residual sketches
 // ---------------------------------------------------------------------
 
-const SKETCH_BUCKETS: usize = 32;
-
-#[inline]
-fn sketch_bucket(v: u64) -> usize {
-    if v == 0 {
-        0
-    } else {
-        ((64 - v.leading_zeros()) as usize).min(SKETCH_BUCKETS - 1)
-    }
-}
-
-#[inline]
-fn sketch_upper(i: usize) -> u64 {
-    if i == 0 {
-        0
-    } else if i >= SKETCH_BUCKETS - 1 {
-        u64::MAX
-    } else {
-        (1u64 << i) - 1
-    }
-}
-
-/// A fixed-memory sketch of *signed* residual seconds: two 32-bucket
-/// log-histograms (negative and non-negative magnitudes). Quantiles
-/// walk the negative side from most- to least-negative, then the
-/// non-negative side ascending, so extraction is monotone in `q` by
-/// construction (the timeseries proptests pin the unsigned analogue).
+/// A fixed-memory sketch of *signed* residual seconds: two log-histograms
+/// (negative and non-negative magnitudes) on the bucket layout of
+/// [`wilocator_obs::Histogram`]. Quantiles walk the negative side from
+/// most- to least-negative, then the non-negative side ascending, so
+/// extraction is monotone in `q` by construction (the timeseries
+/// proptests pin the unsigned analogue).
 #[derive(Debug, Clone, PartialEq)]
 pub struct ResidualSketch {
     count: u64,
     sum_abs_s: f64,
-    neg: [u64; SKETCH_BUCKETS],
-    nonneg: [u64; SKETCH_BUCKETS],
+    neg: [u64; BUCKETS],
+    nonneg: [u64; BUCKETS],
 }
 
 impl Default for ResidualSketch {
@@ -207,8 +180,8 @@ impl Default for ResidualSketch {
         ResidualSketch {
             count: 0,
             sum_abs_s: 0.0,
-            neg: [0; SKETCH_BUCKETS],
-            nonneg: [0; SKETCH_BUCKETS],
+            neg: [0; BUCKETS],
+            nonneg: [0; BUCKETS],
         }
     }
 }
@@ -220,7 +193,7 @@ impl ResidualSketch {
             return;
         }
         let mag = residual_s.abs().round().min(u64::MAX as f64) as u64;
-        let idx = sketch_bucket(mag);
+        let idx = bucket_index(mag);
         if residual_s < 0.0 {
             self.neg[idx] += 1;
         } else {
@@ -253,19 +226,19 @@ impl ResidualSketch {
         }
         let rank = ((q.clamp(0.0, 1.0) * self.count as f64).ceil() as u64).max(1);
         let mut seen = 0u64;
-        for i in (0..SKETCH_BUCKETS).rev() {
+        for i in (0..BUCKETS).rev() {
             seen += self.neg[i];
             if seen >= rank {
-                return -(sketch_upper(i).min(1 << 62) as f64);
+                return -(bucket_upper(i).min(1 << 62) as f64);
             }
         }
         for (i, &c) in self.nonneg.iter().enumerate() {
             seen += c;
             if seen >= rank {
-                return sketch_upper(i).min(1 << 62) as f64;
+                return bucket_upper(i).min(1 << 62) as f64;
             }
         }
-        sketch_upper(SKETCH_BUCKETS - 1).min(1 << 62) as f64
+        bucket_upper(BUCKETS - 1).min(1 << 62) as f64
     }
 
     /// Magnitude quantile: the signed buckets folded together by
@@ -277,13 +250,13 @@ impl ResidualSketch {
         }
         let rank = ((q.clamp(0.0, 1.0) * self.count as f64).ceil() as u64).max(1);
         let mut seen = 0u64;
-        for i in 0..SKETCH_BUCKETS {
+        for i in 0..BUCKETS {
             seen += self.neg[i] + self.nonneg[i];
             if seen >= rank {
-                return sketch_upper(i).min(1 << 62) as f64;
+                return bucket_upper(i).min(1 << 62) as f64;
             }
         }
-        sketch_upper(SKETCH_BUCKETS - 1).min(1 << 62) as f64
+        bucket_upper(BUCKETS - 1).min(1 << 62) as f64
     }
 
     /// Adds another sketch's residuals into this one.

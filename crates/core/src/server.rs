@@ -22,7 +22,7 @@
 //! Lock ordering: the bus directory is always acquired before any shard
 //! lock, and no operation ever holds two shard locks at once.
 
-use crate::sync::{Arc, RwLock};
+use crate::sync::{unpoisoned, Arc, RwLock};
 use std::collections::HashMap;
 
 use wilocator_obs::{
@@ -41,7 +41,7 @@ use crate::predict::{ArrivalPredictor, PredictorConfig};
 use crate::quality::{BusQuality, QualityConfig, QualityPlane};
 use crate::report::{BusKey, RouteIdentifier, ScanReport};
 use crate::snapshot::{ArrivalEntry, BusView, QueryPlaneConfig, QuerySnapshot, SnapshotCell};
-use crate::tracker::{crossing_time, segment_traversals, BusTracker, IngestOutcome};
+use crate::tracker::{crossing_time, BusTracker, IngestOutcome};
 use crate::traffic_map::{SegmentState, TrafficMapConfig, TrafficMapGenerator};
 
 /// Errors returned by the server API.
@@ -124,46 +124,45 @@ struct BusState {
 }
 
 impl BusState {
-    /// Commits the segment traversals the latest fix has safely cleared,
-    /// scanning only segments past `committed_upto`. The crossing
+    /// Records into `store` the segment traversals the latest fix has
+    /// cleared by `commit_margin_m`, scanning only segments past
+    /// `committed_upto`, and returns how many it recorded. The crossing
     /// interpolation uses the first straddling fix pair, which later
     /// fixes never displace, so committing eagerly here produces the same
-    /// records as re-deriving the full trip at finish time.
-    fn drain_cleared(&mut self, commit_margin_m: f64) -> Vec<(EdgeId, Traversal)> {
-        let mut out = Vec::new();
-        let mut new_upto = self.committed_upto;
-        {
-            let route = self.tracker.route();
-            let fixes = self.tracker.trajectory().fixes();
-            let Some(fix) = fixes.last() else {
-                return out;
-            };
-            let mut i = self.committed_upto;
-            while i < route.edges().len() {
-                if route.edge_end_s(i) + commit_margin_m > fix.s {
-                    break;
+    /// records as re-deriving the full trip at finish time. A margin of
+    /// `f64::NEG_INFINITY` clears every remaining segment: the scan then
+    /// yields exactly the [`crate::tracker::segment_traversals`] records
+    /// from `committed_upto` on, in the same order.
+    fn drain_cleared(&mut self, store: &mut TravelTimeStore, commit_margin_m: f64) -> u64 {
+        let route = self.tracker.route();
+        let fixes = self.tracker.trajectory().fixes();
+        let Some(fix) = fixes.last() else {
+            return 0;
+        };
+        let mut committed = 0;
+        for i in self.committed_upto..route.edges().len() {
+            if route.edge_end_s(i) + commit_margin_m > fix.s {
+                break;
+            }
+            if let (Some(t_enter), Some(t_exit)) = (
+                crossing_time(fixes, route.edge_start_s(i)),
+                crossing_time(fixes, route.edge_end_s(i)),
+            ) {
+                if t_exit > t_enter {
+                    store.record(
+                        route.edges()[i],
+                        Traversal {
+                            route: self.route,
+                            t_enter,
+                            t_exit,
+                        },
+                    );
+                    committed += 1;
+                    self.committed_upto = i + 1;
                 }
-                if let (Some(t_enter), Some(t_exit)) = (
-                    crossing_time(fixes, route.edge_start_s(i)),
-                    crossing_time(fixes, route.edge_end_s(i)),
-                ) {
-                    if t_exit > t_enter {
-                        out.push((
-                            route.edges()[i],
-                            Traversal {
-                                route: self.route,
-                                t_enter,
-                                t_exit,
-                            },
-                        ));
-                        new_upto = i + 1;
-                    }
-                }
-                i += 1;
             }
         }
-        self.committed_upto = new_upto;
-        out
+        committed
     }
 }
 
@@ -222,18 +221,6 @@ fn shard_partition(routes: &[Route]) -> (Vec<usize>, usize) {
     (shards, count)
 }
 
-/// Enters a lock even when a previous holder panicked.
-///
-/// Shard and directory state are plain data with no multi-step invariant
-/// spanning an unlock, so the state behind a poisoned lock is still
-/// consistent; recovering the guard keeps one panicked request from
-/// turning into a permanently poisoned server. The serving path itself is
-/// panic-free (enforced by wilocator-lint W002), so in practice this
-/// recovery never fires.
-fn unpoisoned<G>(result: Result<G, std::sync::PoisonError<G>>) -> G {
-    result.unwrap_or_else(std::sync::PoisonError::into_inner)
-}
-
 /// Detail-sampling key for a report's trace: derived from content (bus
 /// and report time), never from wall time or arrival order, so replays
 /// sample the same reports at any thread count.
@@ -258,9 +245,6 @@ pub struct WiLocator {
     /// Bus → shard directory. Written on (de)registration, read on every
     /// upload. Always acquired *before* any shard lock.
     bus_dir: RwLock<HashMap<BusKey, usize>>,
-    /// Cached hardware parallelism; on single-core hosts `ingest_batch`
-    /// skips thread spawning entirely.
-    parallelism: usize,
     /// Per-shard ingest ledgers, parallel to `shards` but *outside* the
     /// locks: recording (including the lock-hold histogram) never needs
     /// the shard lock.
@@ -296,29 +280,20 @@ impl WiLocator {
         routes: Vec<Route>,
         config: WiLocatorConfig,
     ) -> Self {
-        Self::new_with_clock(field, routes, config, Arc::new(MonotonicClock::new()))
-    }
-
-    /// [`WiLocator::new`] with an explicit span clock. Deterministic
-    /// replay harnesses pass a [`wilocator_obs::SteppingClock`] so span
-    /// durations — and therefore slow-path tail sampling — reproduce
-    /// byte-identically; production callers use the monotonic default.
-    pub fn new_with_clock<F: SignalField + ?Sized>(
-        field: &F,
-        routes: Vec<Route>,
-        config: WiLocatorConfig,
-        clock: Arc<dyn Clock>,
-    ) -> Self {
         Self::new_with_clocks(
             field,
             routes,
             config,
-            clock,
+            Arc::new(MonotonicClock::new()),
             Arc::new(MonotonicClock::new()),
         )
     }
 
-    /// [`WiLocator::new_with_clock`] with a separate query-plane clock.
+    /// [`WiLocator::new`] with an explicit span clock and a separate
+    /// query-plane clock. Deterministic replay harnesses pass a
+    /// [`wilocator_obs::SteppingClock`] as the span clock so span
+    /// durations — and therefore slow-path tail sampling — reproduce
+    /// byte-identically; production callers use the monotonic default.
     ///
     /// The span clock is consumed one reading per span; snapshot
     /// publication must not read from it, or publish cadence would shift
@@ -401,7 +376,6 @@ impl WiLocator {
             shard_of_route,
             shards,
             bus_dir: RwLock::new(HashMap::new()),
-            parallelism: std::thread::available_parallelism().map_or(1, |n| n.get()),
             shard_metrics,
             server_metrics,
             tracer,
@@ -486,25 +460,25 @@ impl WiLocator {
     }
 
     /// One report against an already-locked shard: track, then commit the
-    /// traversals the new fix has cleared. `metrics` is the shard's
-    /// ledger; the outcome of every report lands in exactly one of its
-    /// stale/absorbed/fix counters. On a fix, the quality plane folds AP
-    /// churn and settles pending retro-predictions (its per-shard mutex
-    /// nests inside this shard's write lock — the documented order).
+    /// traversals the new fix has cleared. The outcome of every report
+    /// lands in exactly one of the shard ledger's stale/absorbed/fix
+    /// counters. On a fix, the quality plane folds AP churn and settles
+    /// pending retro-predictions (its per-shard mutex nests inside this
+    /// shard's write lock — the documented order).
     // lint: hot_path(deny: blocks_or_syscalls, unbounded_iteration)
     fn ingest_locked(
+        &self,
         shard: &mut Shard,
-        metrics: &ShardMetrics,
-        quality: &QualityPlane,
         shard_idx: usize,
         report: &ScanReport,
-        commit_margin_m: f64,
         trace: Option<&TraceCtx<'_>>,
-    ) -> Result<Option<Fix>, CoreError> {
-        let bus = shard
-            .buses
-            .get_mut(&report.bus)
-            .ok_or(CoreError::UnknownBus(report.bus))?;
+    ) -> IngestResult {
+        let Some(bus) = shard.buses.get_mut(&report.bus) else {
+            // The bus finished between the directory read and this lock.
+            self.server_metrics.unknown_bus_total.inc();
+            return Err(CoreError::UnknownBus(report.bus));
+        };
+        let metrics = &self.shard_metrics[shard_idx];
         metrics.reports_total.inc();
         let outcome = bus.tracker.ingest_classified_traced(report, trace);
         if let Some(t) = trace {
@@ -532,29 +506,79 @@ impl WiLocator {
                     t.flag_anomaly("tile_mapping_miss");
                 }
                 let span = trace.map(|t| t.child_span("commit"));
-                let mut committed = 0u64;
-                for (edge, tr) in bus.drain_cleared(commit_margin_m) {
-                    shard.store.record(edge, tr);
-                    committed += 1;
-                }
+                let committed = bus.drain_cleared(&mut shard.store, self.config.commit_margin_m);
                 metrics.traversals_committed_total.add(committed);
                 if let Some(sp) = &span {
                     sp.field("traversals", committed);
                 }
-                if let Some(state) = shard.buses.get_mut(&report.bus) {
-                    quality.on_fix(
-                        shard_idx,
-                        report,
-                        &fix,
-                        state.tracker.trajectory().fixes(),
-                        &mut state.quality,
-                        &mut shard.quality_scratch,
-                        trace,
-                    );
-                }
+                self.quality.on_fix(
+                    shard_idx,
+                    report,
+                    &fix,
+                    bus.tracker.trajectory().fixes(),
+                    &mut bus.quality,
+                    &mut shard.quality_scratch,
+                    trace,
+                );
                 Ok(Some(fix))
             }
         }
+    }
+
+    /// Ingests `reports[i]` for each `i` of `indices`, in that order, under
+    /// one acquisition of shard `shard_idx`'s write lock, and stores each
+    /// outcome in `results[i]`. Every indexed report's bus must map to
+    /// this shard. Each report gets its own root span. One clock read per
+    /// report: each report's end stamp is the next one's start, so tracing
+    /// adds no clock reads, and the pair bounding the group is the
+    /// lock-hold sample.
+    // lint: hot_path(deny: blocks_or_syscalls, unbounded_iteration)
+    fn ingest_group(
+        &self,
+        shard_idx: usize,
+        reports: &[ScanReport],
+        indices: &[usize],
+        results: &mut [IngestResult],
+    ) {
+        let poisoned = self.shards[shard_idx].is_poisoned();
+        let mut shard = unpoisoned(self.shards[shard_idx].write());
+        let clock = self.tracer.clock();
+        let hold_start = clock.now_us();
+        let mut prev = hold_start;
+        for &i in indices {
+            let report = &reports[i];
+            let trace =
+                self.tracer
+                    .start_root_span_keyed(shard_idx, "ingest", prev, trace_key(report));
+            if let Some(t) = &trace {
+                t.field("bus", report.bus.0);
+                if poisoned {
+                    t.flag_anomaly("lock_poison_recovered");
+                }
+            }
+            results[i] = self.ingest_locked(&mut shard, shard_idx, report, trace.as_ref());
+            let now = clock.now_us();
+            if let Some(t) = trace {
+                t.finish_at(now);
+            }
+            prev = now;
+        }
+        self.shard_metrics[shard_idx]
+            .lock_hold_us
+            .record(prev.saturating_sub(hold_start));
+    }
+
+    /// Rejects a report whose bus the directory does not know: records an
+    /// anomaly-flagged root span (shard 0 hosts directory-level traces) so
+    /// unknown buses show up in the flight recorder, and counts it.
+    fn reject_unknown_bus(&self, bus: BusKey) -> IngestResult {
+        let trace = self.tracer.start_root_span(0, "ingest");
+        if let Some(t) = &trace {
+            t.field("bus", bus.0);
+            t.flag_anomaly("unknown_bus");
+        }
+        self.server_metrics.unknown_bus_total.inc();
+        Err(CoreError::UnknownBus(bus))
     }
 
     /// Ingests one scan report, returning the new position fix.
@@ -566,71 +590,23 @@ impl WiLocator {
     /// # Errors
     ///
     /// Returns [`CoreError::UnknownBus`] for unregistered buses.
-    pub fn ingest(&self, report: &ScanReport) -> Result<Option<Fix>, CoreError> {
+    pub fn ingest(&self, report: &ScanReport) -> IngestResult {
         self.server_metrics.ingest_total.inc();
-        let result = match self.shard_for_bus(report.bus) {
-            Ok(shard_idx) => {
-                let metrics = &self.shard_metrics[shard_idx];
-                let poisoned = self.shards[shard_idx].is_poisoned();
-                let mut shard = unpoisoned(self.shards[shard_idx].write());
-                // The hold stamps double as the root span's stamps, so
-                // tracing a report costs no extra clock reads.
-                let clock = self.tracer.clock();
-                let start_us = clock.now_us();
-                let trace = self.tracer.start_root_span_keyed(
-                    shard_idx,
-                    "ingest",
-                    start_us,
-                    trace_key(report),
-                );
-                if let Some(t) = &trace {
-                    t.field("bus", report.bus.0);
-                    if poisoned {
-                        t.flag_anomaly("lock_poison_recovered");
-                    }
-                }
-                let outcome = Self::ingest_locked(
-                    &mut shard,
-                    metrics,
-                    &self.quality,
-                    shard_idx,
-                    report,
-                    self.config.commit_margin_m,
-                    trace.as_ref(),
-                );
-                let end_us = clock.now_us();
-                if let Some(t) = trace {
-                    t.finish_at(end_us);
-                }
-                metrics.lock_hold_us.record(end_us.saturating_sub(start_us));
-                outcome
-            }
-            Err(e) => {
-                // Rejected at the directory: record an anomaly-flagged root
-                // span (shard 0 hosts directory-level traces) so unknown
-                // buses show up in the flight recorder.
-                let trace = self.tracer.start_root_span(0, "ingest");
-                if let Some(t) = &trace {
-                    t.field("bus", report.bus.0);
-                    t.flag_anomaly("unknown_bus");
-                }
-                Err(e)
-            }
+        let Ok(shard_idx) = self.shard_for_bus(report.bus) else {
+            return self.reject_unknown_bus(report.bus);
         };
-        if result.is_err() {
-            self.server_metrics.unknown_bus_total.inc();
-        }
+        let mut result = [Ok(None)];
+        self.ingest_group(shard_idx, std::slice::from_ref(report), &[0], &mut result);
+        let [result] = result;
         result
     }
 
     /// Ingests a batch of scan reports, returning one result per report in
     /// input order.
     ///
-    /// Reports are grouped by shard; each shard's group is processed under
-    /// a single lock acquisition, and independent shards are processed on
-    /// scoped threads (on hosts with more than one core — single-core
-    /// hosts process shards in turn, still under one lock acquisition
-    /// each). Relative order of reports for the same bus is
+    /// Reports are grouped by shard under one directory read, and each
+    /// busy shard's group is ingested under a single lock acquisition, in
+    /// shard order. Relative order of reports for the same bus is
     /// preserved, so a batch produces exactly the per-bus fix sequences
     /// and store contents that the same reports would produce through
     /// [`WiLocator::ingest`] one at a time.
@@ -648,147 +624,17 @@ impl WiLocator {
             for (i, report) in reports.iter().enumerate() {
                 match dir.get(&report.bus) {
                     Some(&s) => groups[s].push(i),
-                    None => {
-                        let trace = self.tracer.start_root_span(0, "ingest");
-                        if let Some(t) = &trace {
-                            t.field("bus", report.bus.0);
-                            t.flag_anomaly("unknown_bus");
-                        }
-                        results[i] = Err(CoreError::UnknownBus(report.bus));
-                    }
+                    None => results[i] = self.reject_unknown_bus(report.bus),
                 }
             }
         }
-        let margin = self.config.commit_margin_m;
-        let busy: Vec<usize> = (0..groups.len())
-            .filter(|&s| !groups[s].is_empty())
-            .collect();
-        if busy.len() <= 1 || self.parallelism <= 1 {
-            // One shard (or a single-core host): threads can't help, but a
-            // batch still amortises one lock acquisition per busy shard.
-            for &s in &busy {
-                let metrics = &self.shard_metrics[s];
-                let poisoned = self.shards[s].is_poisoned();
-                let mut shard = unpoisoned(self.shards[s].write());
-                // One clock read per report: each report's end stamp is
-                // the next one's start, and the pair bounding the group
-                // doubles as the lock-hold measurement.
-                let clock = self.tracer.clock();
-                let hold_start = clock.now_us();
-                let mut prev = hold_start;
-                for &i in &groups[s] {
-                    let trace = self.tracer.start_root_span_keyed(
-                        s,
-                        "ingest",
-                        prev,
-                        trace_key(&reports[i]),
-                    );
-                    if let Some(t) = &trace {
-                        t.field("bus", reports[i].bus.0);
-                        if poisoned {
-                            t.flag_anomaly("lock_poison_recovered");
-                        }
-                    }
-                    results[i] = Self::ingest_locked(
-                        &mut shard,
-                        metrics,
-                        &self.quality,
-                        s,
-                        &reports[i],
-                        margin,
-                        trace.as_ref(),
-                    );
-                    let now = clock.now_us();
-                    if let Some(t) = trace {
-                        t.finish_at(now);
-                    }
-                    prev = now;
-                }
-                metrics.lock_hold_us.record(prev.saturating_sub(hold_start));
-            }
-            self.count_batch_errors(&results);
-            self.publish_after_batch(reports);
-            return results;
-        }
-        let per_shard: Vec<(usize, Vec<IngestResult>)> = std::thread::scope(|scope| {
-            let handles: Vec<_> = busy
-                .iter()
-                .map(|&s| {
-                    let indices = &groups[s];
-                    let lock = &self.shards[s];
-                    let metrics = &self.shard_metrics[s];
-                    let tracer = &self.tracer;
-                    let quality = &self.quality;
-                    scope.spawn(move || {
-                        let poisoned = lock.is_poisoned();
-                        let mut shard = unpoisoned(lock.write());
-                        let clock = tracer.clock();
-                        let hold_start = clock.now_us();
-                        let mut prev = hold_start;
-                        let local = indices
-                            .iter()
-                            .map(|&i| {
-                                let trace = tracer.start_root_span_keyed(
-                                    s,
-                                    "ingest",
-                                    prev,
-                                    trace_key(&reports[i]),
-                                );
-                                if let Some(t) = &trace {
-                                    t.field("bus", reports[i].bus.0);
-                                    if poisoned {
-                                        t.flag_anomaly("lock_poison_recovered");
-                                    }
-                                }
-                                let out = Self::ingest_locked(
-                                    &mut shard,
-                                    metrics,
-                                    quality,
-                                    s,
-                                    &reports[i],
-                                    margin,
-                                    trace.as_ref(),
-                                );
-                                let now = clock.now_us();
-                                if let Some(t) = trace {
-                                    t.finish_at(now);
-                                }
-                                prev = now;
-                                out
-                            })
-                            .collect();
-                        metrics.lock_hold_us.record(prev.saturating_sub(hold_start));
-                        (s, local)
-                    })
-                })
-                .collect();
-            handles
-                .into_iter()
-                // lint: allow(hot_path_effects) — joins this batch's own scoped shard workers; bounded by the batch fan-out, no external I/O
-                .map(|h| match h.join() {
-                    Ok(v) => v,
-                    // A panicked shard thread is a bug in ingest itself;
-                    // re-raise the original payload rather than masking it
-                    // behind a generic message.
-                    Err(payload) => std::panic::resume_unwind(payload),
-                })
-                .collect()
-        });
-        for (s, local) in per_shard {
-            for (&i, r) in groups[s].iter().zip(local) {
-                results[i] = r;
+        for (s, indices) in groups.iter().enumerate() {
+            if !indices.is_empty() {
+                self.ingest_group(s, reports, indices, &mut results);
             }
         }
-        self.count_batch_errors(&results);
         self.publish_after_batch(reports);
         results
-    }
-
-    /// Every `Err` in a batch is an unknown-bus rejection (whether caught
-    /// at the directory or inside a shard); counted once per report here.
-    fn count_batch_errors(&self, results: &[IngestResult]) {
-        let errs = results.iter().filter(|r| r.is_err()).count() as u64;
-        self.server_metrics.unknown_bus_total.add(errs);
     }
 
     /// Finishes a bus trip: commits all remaining traversals and removes
@@ -807,23 +653,8 @@ impl WiLocator {
         let metrics = &self.shard_metrics[shard_idx];
         let mut shard = unpoisoned(self.shards[shard_idx].write());
         let _hold = metrics.lock_hold_us.time_with(self.tracer.clock());
-        let state = shard.buses.remove(&bus).ok_or(CoreError::UnknownBus(bus))?;
-        let route = state.tracker.route();
-        let fixes = state.tracker.trajectory().fixes();
-        let mut committed = 0u64;
-        for tr in segment_traversals(route, fixes) {
-            if tr.edge_index >= state.committed_upto {
-                shard.store.record(
-                    route.edges()[tr.edge_index],
-                    Traversal {
-                        route: state.route,
-                        t_enter: tr.t_enter,
-                        t_exit: tr.t_exit,
-                    },
-                );
-                committed += 1;
-            }
-        }
+        let mut state = shard.buses.remove(&bus).ok_or(CoreError::UnknownBus(bus))?;
+        let committed = state.drain_cleared(&mut shard.store, f64::NEG_INFINITY);
         metrics.traversals_committed_total.add(committed);
         Ok(())
     }
@@ -1212,6 +1043,7 @@ impl WiLocator {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::tracker::segment_traversals;
     use wilocator_geo::Point;
     use wilocator_obs::FieldValue;
     use wilocator_rf::{AccessPoint, ApId, Bssid, HomogeneousField, Reading, Scan};
@@ -1491,10 +1323,13 @@ mod tests {
                 reports.push(report(&field, &routes[route_idx], s, t, bus));
             }
         }
-        // Interleave buses within the batch while keeping per-bus order.
+        // Interleave buses within the batch while keeping per-bus order,
+        // then split it in two: both halves reach both shards.
         reports.sort_by(|a, b| a.time_s.partial_cmp(&b.time_s).unwrap());
-        let batch_results = batched.ingest_batch(&reports);
-        assert!(batch_results.iter().all(|r| r.is_ok()));
+        let (first, second) = reports.split_at(reports.len() / 2);
+        for batch in [first, second] {
+            assert!(batched.ingest_batch(batch).iter().all(|r| r.is_ok()));
+        }
         for r in &reports {
             sequential.ingest(r).unwrap();
         }
@@ -1505,11 +1340,131 @@ mod tests {
                 "bus {bus} trajectories diverge"
             );
         }
-        let (a, b) = (
-            batched.with_store(|s| s.len()),
-            sequential.with_store(|s| s.len()),
+        let records = |server: &WiLocator| {
+            server.with_store(|s| {
+                s.edges()
+                    .map(|e| (e, s.traversals(e).to_vec()))
+                    .collect::<Vec<_>>()
+            })
+        };
+        let batched_records = records(&batched);
+        // Each street's first segment is cleared; the second awaits finish.
+        assert_eq!(batched_records.len(), 2);
+        assert_eq!(
+            batched_records,
+            records(&sequential),
+            "store records diverge"
         );
-        assert_eq!(a, b, "store record counts diverge");
+        let (b, q) = (batched.metrics(), sequential.metrics());
+        for shard in 0..batched.shard_count() {
+            let key = |family: &str| format!("{family}{{shard=\"{shard}\"}}");
+            for family in [
+                "wilocator_reports_total",
+                "wilocator_reports_stale_total",
+                "wilocator_reports_absorbed_total",
+                "wilocator_fixes_total",
+                "wilocator_traversals_committed_total",
+            ] {
+                assert_eq!(
+                    b.counter(&key(family)),
+                    q.counter(&key(family)),
+                    "{}",
+                    key(family)
+                );
+            }
+            // One lock-hold sample per busy shard per batch, and one per
+            // `ingest`.
+            let hold = key("wilocator_shard_lock_hold_us");
+            assert_eq!(b.histogram(&hold).unwrap().count, 2, "{hold}");
+            assert_eq!(
+                q.histogram(&hold).unwrap().count,
+                q.counter(&key("wilocator_reports_total")),
+                "{hold}"
+            );
+        }
+    }
+
+    #[test]
+    fn finish_commits_what_a_full_trip_rescan_yields() {
+        // A trip to the route end clears its last segment only at finish;
+        // one cut short at 500 m never crosses it at all.
+        for end_s in [800.0, 500.0] {
+            let (server, field) = setup();
+            let route = server.routes()[0].clone();
+            server.register_bus(BusKey(1), RouteId(0)).unwrap();
+            for k in 0..=(end_s / 80.0) as usize {
+                let t = k as f64 * 10.0;
+                server
+                    .ingest(&report(&field, &route, t * 8.0, t, 1))
+                    .unwrap();
+            }
+            let fixes = server.trajectory(BusKey(1)).unwrap();
+            let eager = server.with_store(|s| s.len());
+            server.finish_bus(BusKey(1)).unwrap();
+            // The reference: the records of re-scanning the whole trip.
+            let expected: Vec<(EdgeId, Traversal)> = segment_traversals(&route, &fixes)
+                .into_iter()
+                .map(|tr| {
+                    let traversal = Traversal {
+                        route: RouteId(0),
+                        t_enter: tr.t_enter,
+                        t_exit: tr.t_exit,
+                    };
+                    (route.edges()[tr.edge_index], traversal)
+                })
+                .collect();
+            let stored: Vec<(EdgeId, Traversal)> = server.with_store(|s| {
+                s.edges()
+                    .flat_map(|e| s.traversals(e).iter().map(move |&tr| (e, tr)))
+                    .collect()
+            });
+            assert_eq!(stored, expected, "trip to {end_s} m");
+            assert_eq!(
+                eager, 1,
+                "trip to {end_s} m: first segment commits at ingest"
+            );
+            let committed = server
+                .metrics()
+                .counter_family_total("wilocator_traversals_committed_total");
+            assert_eq!(committed as usize, expected.len());
+        }
+    }
+
+    #[test]
+    fn non_finite_stamps_are_dropped_as_stale() {
+        let (server, field) = setup();
+        let route = server.routes()[0].clone();
+        server.register_bus(BusKey(1), RouteId(0)).unwrap();
+        let bad_stamps = [f64::NAN, f64::INFINITY, f64::NEG_INFINITY];
+        let mut dropped = 0;
+        for k in 0..10 {
+            let t = k as f64 * 10.0;
+            let s = t * 6.0;
+            // Before the first fix, and twice mid-trip, through both
+            // entry points.
+            if k % 4 == 0 {
+                for bad in bad_stamps {
+                    let r = report(&field, &route, s, bad, 1);
+                    assert_eq!(server.ingest(&r), Ok(None));
+                    assert_eq!(server.ingest_batch(&[r]), vec![Ok(None)]);
+                    dropped += 2;
+                }
+            }
+            let fix = server.ingest(&report(&field, &route, s, t, 1)).unwrap();
+            assert_eq!(
+                fix.map(|f| f.time_s),
+                Some(t),
+                "the next finite report fixes"
+            );
+        }
+        let fixes = server.trajectory(BusKey(1)).unwrap();
+        assert_eq!(fixes.len(), 10);
+        assert!(fixes.iter().all(|f| f.time_s.is_finite()));
+        let snap = server.metrics();
+        assert_eq!(
+            snap.counter_family_total("wilocator_reports_stale_total"),
+            dropped
+        );
     }
 
     #[test]
@@ -1623,11 +1578,12 @@ mod tests {
             trace: TraceConfig::detailed(),
             ..WiLocatorConfig::default()
         };
-        let server = WiLocator::new_with_clock(
+        let server = WiLocator::new_with_clocks(
             &field,
             vec![route],
             config,
             Arc::new(wilocator_obs::SteppingClock::new(0, step_us)),
+            Arc::new(MonotonicClock::new()),
         );
         (server, field)
     }

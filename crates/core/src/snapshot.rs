@@ -46,7 +46,7 @@
 use std::collections::BTreeMap;
 
 use crate::sync::atomic::{AtomicU64, Ordering};
-use crate::sync::{Arc, Condvar, Mutex, RwLock};
+use crate::sync::{unpoisoned, Arc, Condvar, Mutex, RwLock};
 
 use wilocator_road::{RouteId, StopId};
 use wilocator_svd::Fix;
@@ -54,13 +54,6 @@ use wilocator_svd::Fix;
 use crate::quality::QualitySections;
 use crate::report::BusKey;
 use crate::traffic_map::SegmentState;
-
-/// Enters a lock even when a previous holder panicked (same argument as
-/// the server's shard locks: snapshot slots hold plain data with no
-/// multi-step invariant spanning an unlock).
-fn unpoisoned<G>(result: Result<G, std::sync::PoisonError<G>>) -> G {
-    result.unwrap_or_else(std::sync::PoisonError::into_inner)
-}
 
 /// Query-plane configuration.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]

@@ -39,8 +39,9 @@ impl TrackedTrajectory {
 pub enum IngestOutcome {
     /// The report produced a new fix, appended to the trajectory.
     Fix(Fix),
-    /// The report was older than the latest fix (network reordering) and
-    /// was dropped; trajectory and committed traversals are untouched.
+    /// The report was older than the latest fix (network reordering), or
+    /// its time stamp was not finite, and was dropped; trajectory and
+    /// committed traversals are untouched.
     Stale,
     /// The report was absorbed without producing a fix (e.g. acquisition
     /// has not locked yet); trajectory is untouched.
@@ -93,7 +94,8 @@ impl BusTracker {
     /// Ingests one scan report, returning the new fix if one was produced.
     ///
     /// Reports older than the latest fix (network reordering between the
-    /// riders' phones and the server) are dropped.
+    /// riders' phones and the server) and reports whose time stamp is not
+    /// finite are dropped.
     pub fn ingest(&mut self, report: &ScanReport) -> Option<Fix> {
         match self.ingest_classified(report) {
             IngestOutcome::Fix(fix) => Some(fix),
@@ -115,6 +117,11 @@ impl BusTracker {
         report: &ScanReport,
         trace: Option<&TraceCtx<'_>>,
     ) -> IngestOutcome {
+        // A NaN stamp would pass the order check below and become a fix at
+        // t = NaN; a +inf one would make every later report stale.
+        if !report.time_s.is_finite() {
+            return IngestOutcome::Stale;
+        }
         if let Some(last) = self.trajectory.last() {
             if report.time_s < last.time_s {
                 return IngestOutcome::Stale;

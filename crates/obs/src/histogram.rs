@@ -11,8 +11,9 @@ use crate::clock::Clock;
 /// With 32 buckets a microsecond-valued histogram spans sub-µs to ~35 min.
 pub const BUCKETS: usize = 32;
 
+/// The bucket that counts `v` (see [`BUCKETS`] for the layout).
 #[inline]
-fn bucket_index(v: u64) -> usize {
+pub fn bucket_index(v: u64) -> usize {
     if v == 0 {
         0
     } else {
@@ -22,7 +23,7 @@ fn bucket_index(v: u64) -> usize {
 
 /// Upper bound (inclusive) of bucket `i`, for exposition.
 #[inline]
-fn bucket_upper(i: usize) -> u64 {
+pub fn bucket_upper(i: usize) -> u64 {
     if i == 0 {
         0
     } else if i >= BUCKETS - 1 {

@@ -6,6 +6,7 @@ use std::collections::BTreeMap;
 use std::sync::{Arc, Mutex};
 
 use crate::histogram::HistogramSnapshot;
+use crate::sync::unpoisoned;
 
 /// Builds a metric key from a family name and a label set, in Prometheus
 /// text form: `family{labels}`, or just `family` when `labels` is empty.
@@ -369,14 +370,6 @@ pub trait Collect: Send + Sync {
 #[derive(Default)]
 pub struct Registry {
     entries: Mutex<Vec<(String, Arc<dyn Collect>)>>,
-}
-
-/// Enters the registry mutex even when a previous holder panicked: the
-/// entry list is append-only plain data, so it is consistent at every
-/// point a panic can unwind through, and a metrics scrape must never
-/// panic just because some earlier scrape did.
-fn unpoisoned<G>(result: Result<G, std::sync::PoisonError<G>>) -> G {
-    result.unwrap_or_else(std::sync::PoisonError::into_inner)
 }
 
 impl std::fmt::Debug for Registry {

@@ -59,6 +59,7 @@ use std::sync::{Arc, Mutex};
 use crate::clock::Clock;
 use crate::counter::{Counter, Gauge};
 use crate::snapshot::{metric_key, Collect, MetricsSnapshot};
+use crate::sync::unpoisoned;
 
 /// Sentinel parent for root spans.
 const ROOT_PARENT: u32 = u32::MAX;
@@ -383,14 +384,6 @@ impl TraceData {
 struct Retention {
     traces: VecDeque<TraceData>,
     bytes: usize,
-}
-
-/// Enters a tracer mutex even when a previous holder panicked: rings and
-/// the retention buffer hold plain owned data, consistent at every point
-/// a panic can unwind through, and the recorder must keep recording
-/// through (and especially during) failures.
-fn unpoisoned<G>(result: Result<G, std::sync::PoisonError<G>>) -> G {
-    result.unwrap_or_else(std::sync::PoisonError::into_inner)
 }
 
 /// One shard's ring, padded to a cache line so neighbouring shards'

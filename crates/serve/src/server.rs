@@ -27,6 +27,7 @@ use std::thread::JoinHandle;
 use std::time::Duration;
 
 use wilocator_core::WiLocator;
+use wilocator_obs::sync::unpoisoned;
 
 use crate::http::{parse_request, HttpError, HttpLimits};
 use crate::service::{respond, Response};
@@ -82,10 +83,6 @@ impl ServerHandle {
             let _ = handle.join();
         }
     }
-}
-
-fn unpoisoned<T>(result: Result<T, std::sync::PoisonError<T>>) -> T {
-    result.unwrap_or_else(std::sync::PoisonError::into_inner)
 }
 
 /// Binds `addr` (use `127.0.0.1:0` for an ephemeral port) and starts

@@ -13,7 +13,7 @@ use std::sync::Arc;
 
 use wilocator::core::{BusKey, ScanReport, WiLocator, WiLocatorConfig};
 use wilocator::geo::Point;
-use wilocator::obs::{SteppingClock, TraceConfig};
+use wilocator::obs::{MonotonicClock, SteppingClock, TraceConfig};
 use wilocator::rf::{AccessPoint, ApId, Bssid, HomogeneousField, Reading, Scan, SignalField};
 use wilocator::road::{NetworkBuilder, Route, RouteId, StopId};
 use wilocator_tracedump::{parse_trace, validate_nesting, Json};
@@ -48,11 +48,12 @@ fn scene() -> (WiLocator, HomogeneousField) {
         trace: TraceConfig::detailed(),
         ..WiLocatorConfig::default()
     };
-    let server = WiLocator::new_with_clock(
+    let server = WiLocator::new_with_clocks(
         &field,
         vec![route],
         config,
         Arc::new(SteppingClock::new(0, 1)),
+        Arc::new(MonotonicClock::new()),
     );
     (server, field)
 }

@@ -11,7 +11,7 @@ use std::sync::Arc;
 use proptest::prelude::*;
 use wilocator::core::{BusKey, ScanReport, WiLocator, WiLocatorConfig};
 use wilocator::geo::Point;
-use wilocator::obs::{SteppingClock, TraceConfig, Tracer};
+use wilocator::obs::{MonotonicClock, SteppingClock, TraceConfig, Tracer};
 use wilocator::rf::{AccessPoint, ApId, Bssid, HomogeneousField, Reading, Scan, SignalField};
 use wilocator::road::{NetworkBuilder, Route, RouteId};
 
@@ -78,11 +78,12 @@ fn scene() -> (WiLocator, HomogeneousField) {
         x += 80.0;
     }
     let field = HomogeneousField::new(aps);
-    let server = WiLocator::new_with_clock(
+    let server = WiLocator::new_with_clocks(
         &field,
         vec![route],
         WiLocatorConfig::default(),
         Arc::new(SteppingClock::new(0, 1)),
+        Arc::new(MonotonicClock::new()),
     );
     (server, field)
 }
