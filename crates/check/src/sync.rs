@@ -32,10 +32,10 @@ pub use std::sync::Arc;
 /// multi-step invariant spanning an unlock, so the state behind a
 /// poisoned lock is still consistent; recovering the guard keeps one
 /// panicked request from turning into a permanently poisoned server.
-/// The serving path itself is panic-free (enforced by wilocator-lint
-/// W002), so in practice this recovery never fires. The virtual
-/// primitives return `std`'s `LockResult` too, so the same helper
-/// serves both build modes.
+/// The serving path itself is panic-free (enforced by clippy's panic
+/// denies and wilocator-lint W002/W009), so in practice this recovery
+/// never fires. The virtual primitives return `std`'s `LockResult` too,
+/// so the same helper serves both build modes.
 pub fn unpoisoned<G>(result: Result<G, std::sync::PoisonError<G>>) -> G {
     result.unwrap_or_else(std::sync::PoisonError::into_inner)
 }

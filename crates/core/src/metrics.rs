@@ -16,6 +16,7 @@
 
 use crate::sync::atomic::{AtomicU64, Ordering};
 use crate::sync::Arc;
+use crate::tracker::IngestOutcome;
 
 use wilocator_obs::{metric_key, Clock, Collect, Counter, Gauge, Histogram, MetricsSnapshot};
 
@@ -26,17 +27,20 @@ use wilocator_obs::{metric_key, Clock, Collect, Counter, Gauge, Histogram, Metri
 ///
 /// Invariant at any quiescent point:
 /// `reports_total == fixes_total + reports_absorbed_total + reports_stale_total`.
+/// The three outcome counters are private and reached only through
+/// `ShardMetrics::outcome_total`, so the invariant holds by
+/// construction.
 #[derive(Debug, Default)]
 pub struct ShardMetrics {
     /// Reports that reached this shard's tracker (known bus).
     pub reports_total: Counter,
     /// Reports dropped as older than the bus's latest fix (network
     /// reordering); the committed trajectory is untouched.
-    pub reports_stale_total: Counter,
+    reports_stale_total: Counter,
     /// Reports absorbed without a fix (e.g. acquisition not yet locked).
-    pub reports_absorbed_total: Counter,
+    reports_absorbed_total: Counter,
     /// Position fixes produced.
-    pub fixes_total: Counter,
+    fixes_total: Counter,
     /// Segment traversals committed to the travel-time store (both the
     /// eager drain on ingest and the tail commit on finish).
     pub traversals_committed_total: Counter,
@@ -48,6 +52,20 @@ impl ShardMetrics {
     /// A fresh, shareable ledger.
     pub fn shared() -> Arc<Self> {
         Arc::new(Self::default())
+    }
+
+    /// The one counter an ingest outcome lands in. The match names every
+    /// variant, so an outcome added without a counter does not compile.
+    #[deny(
+        clippy::wildcard_enum_match_arm,
+        clippy::match_wildcard_for_single_variants
+    )]
+    pub(crate) fn outcome_total(&self, outcome: &IngestOutcome) -> &Counter {
+        match outcome {
+            IngestOutcome::Fix(_) => &self.fixes_total,
+            IngestOutcome::Stale => &self.reports_stale_total,
+            IngestOutcome::NoFix => &self.reports_absorbed_total,
+        }
     }
 }
 
@@ -517,6 +535,41 @@ mod tests {
                 .count,
             1
         );
+    }
+
+    #[test]
+    fn each_outcome_moves_exactly_its_own_family() {
+        let fix = wilocator_svd::Fix {
+            s: 0.0,
+            point: wilocator_geo::Point::new(0.0, 0.0),
+            interval: (0.0, 0.0),
+            method: wilocator_svd::FixMethod::Exact,
+            time_s: 0.0,
+        };
+        let cases = [
+            (IngestOutcome::Fix(fix), "wilocator_fixes_total"),
+            (IngestOutcome::Stale, "wilocator_reports_stale_total"),
+            (IngestOutcome::NoFix, "wilocator_reports_absorbed_total"),
+        ];
+        let families: std::collections::BTreeSet<&str> = cases.iter().map(|c| c.1).collect();
+        assert_eq!(
+            families.len(),
+            cases.len(),
+            "families are pairwise distinct"
+        );
+        for (outcome, family) in &cases {
+            let m = ShardMetrics::default();
+            m.outcome_total(outcome).inc();
+            let mut snap = MetricsSnapshot::new();
+            m.collect_into("", &mut snap);
+            let moved: Vec<&str> = snap
+                .counters()
+                .iter()
+                .filter(|(_, v)| **v != 0)
+                .map(|(k, _)| k.as_str())
+                .collect();
+            assert_eq!(moved, [*family], "{outcome:?}");
+        }
     }
 
     #[test]

@@ -462,9 +462,10 @@ impl WiLocator {
     /// One report against an already-locked shard: track, then commit the
     /// traversals the new fix has cleared. The outcome of every report
     /// lands in exactly one of the shard ledger's stale/absorbed/fix
-    /// counters. On a fix, the quality plane folds AP churn and settles
-    /// pending retro-predictions (its per-shard mutex nests inside this
-    /// shard's write lock — the documented order).
+    /// counters, chosen by [`ShardMetrics::outcome_total`]. On a fix, the
+    /// quality plane folds AP churn and settles pending retro-predictions
+    /// (its per-shard mutex nests inside this shard's write lock — the
+    /// documented order).
     // lint: hot_path(deny: blocks_or_syscalls, unbounded_iteration)
     fn ingest_locked(
         &self,
@@ -481,21 +482,14 @@ impl WiLocator {
         let metrics = &self.shard_metrics[shard_idx];
         metrics.reports_total.inc();
         let outcome = bus.tracker.ingest_classified_traced(report, trace);
+        metrics.outcome_total(&outcome).inc();
         if let Some(t) = trace {
             t.field("route", bus.route.0);
             t.field("outcome", outcome.label());
         }
         match outcome {
-            IngestOutcome::Stale => {
-                metrics.reports_stale_total.inc();
-                Ok(None)
-            }
-            IngestOutcome::NoFix => {
-                metrics.reports_absorbed_total.inc();
-                Ok(None)
-            }
+            IngestOutcome::Stale | IngestOutcome::NoFix => Ok(None),
             IngestOutcome::Fix(fix) => {
-                metrics.fixes_total.inc();
                 if let Some(t) = trace.filter(|_| fix.method == FixMethod::DeadReckoned) {
                     t.flag_anomaly("dead_reckoned");
                 }
@@ -800,14 +794,15 @@ impl WiLocator {
     }
 
     /// Auto-publication hook: after a batch lands, publish a snapshot
-    /// stamped with the newest report time in the batch (the publisher
-    /// itself clamps the stamp monotone across racing lanes).
+    /// stamped with the newest finite report time in the batch (the
+    /// publisher itself clamps the stamp monotone across racing lanes).
+    /// The tracker drops non-finite stamps, so they never move the stamp.
     fn publish_after_batch(&self, reports: &[ScanReport]) {
-        if !self.config.query.publish_on_ingest || reports.is_empty() {
+        if !self.config.query.publish_on_ingest {
             return;
         }
         let mut as_of = f64::NEG_INFINITY;
-        for report in reports {
+        for report in reports.iter().filter(|r| r.time_s.is_finite()) {
             as_of = as_of.max(report.time_s);
         }
         if as_of.is_finite() {
@@ -960,11 +955,6 @@ impl WiLocator {
         snap
     }
 
-    /// The quality observability plane (ledger sizes, configuration).
-    pub fn quality_plane(&self) -> &QualityPlane {
-        &self.quality
-    }
-
     /// Read access to a merged snapshot of the travel-time records across
     /// all shards (evaluation hooks). Shard locks are taken one at a time
     /// while the snapshot is assembled.
@@ -974,22 +964,6 @@ impl WiLocator {
             merged.merge_from(&unpoisoned(lock.read()).store);
         }
         f(&merged)
-    }
-
-    /// Read access to the trained predictor of a route's shard
-    /// (evaluation hooks).
-    ///
-    /// # Errors
-    ///
-    /// Returns [`CoreError::UnknownRoute`] for unserved routes.
-    pub fn with_predictor<T>(
-        &self,
-        route: RouteId,
-        f: impl FnOnce(&ArrivalPredictor) -> T,
-    ) -> Result<T, CoreError> {
-        let shard_idx = self.shard_for_route(route)?;
-        let shard = unpoisoned(self.shards[shard_idx].read());
-        Ok(f(&shard.predictor))
     }
 
     /// The positioner of a route (evaluation hooks).
@@ -1465,6 +1439,26 @@ mod tests {
             snap.counter_family_total("wilocator_reports_stale_total"),
             dropped
         );
+    }
+
+    #[test]
+    fn an_infinite_stamp_does_not_skip_the_batch_publish() {
+        let (server, field) = setup();
+        let route = server.routes()[0].clone();
+        server.register_bus(BusKey(1), RouteId(0)).unwrap();
+        server.ingest_batch(&[report(&field, &route, 60.0, 10.0, 1)]);
+        let epoch = server.snapshot_epoch();
+        let published = |server: &WiLocator| {
+            let snap = server.query_snapshot();
+            snap.position(BusKey(1)).map(|v| v.fix.time_s)
+        };
+        assert_eq!(published(&server), Some(10.0));
+        server.ingest_batch(&[
+            report(&field, &route, 120.0, 20.0, 1),
+            report(&field, &route, 180.0, f64::INFINITY, 1),
+        ]);
+        assert_eq!(server.snapshot_epoch(), epoch + 1);
+        assert_eq!(published(&server), Some(20.0));
     }
 
     #[test]

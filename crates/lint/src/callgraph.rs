@@ -7,10 +7,10 @@
 //!   paths that can deadlock each other; the rule reports the cycle with
 //!   one witness site per edge.
 //! * **W009 `transitive_panic`** — any path from a `pub` entry point of
-//!   a serving crate to a panic site in a callee. W002 sees only the
-//!   entry point's own body; this closes the gap for panics that live
-//!   two or three calls down, typically in the deterministic geometry
-//!   crates the serving path leans on.
+//!   a serving crate to a panic site in a callee. Clippy's panic denies
+//!   cover only the serving crates' own code; this closes the gap for
+//!   panics that live two or three calls down, typically in the
+//!   deterministic geometry crates the serving path leans on.
 //!
 //! Call edges resolve by callee name against the symbol table with a
 //! precision ladder (see [`resolve`]): `Type::name(…)` resolves by impl
@@ -452,8 +452,9 @@ pub fn w009_transitive_panic(
         let mut seen: BTreeSet<usize> = BTreeSet::new();
         seen.insert(e);
         while let Some(i) = queue.pop_front() {
-            // Panic sites in callees only: the entry's own body is W002's
-            // jurisdiction (and its file may not even be a serving crate).
+            // Panic sites in callees only: the entry's own body is
+            // clippy's jurisdiction (and the callee's file may not even
+            // be in a serving crate).
             if i != e {
                 for p in &table.fns[i].panics {
                     let key = (table.fns[i].file.clone(), p.line);

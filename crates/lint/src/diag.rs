@@ -9,15 +9,12 @@ pub enum Rule {
     /// W001: iteration over `HashMap`/`HashSet` in a deterministic crate
     /// without an order-insensitive sink.
     UnorderedIter,
-    /// W002: panic paths (`unwrap`, `expect`, `panic!`, …) in non-test
-    /// library code of a serving crate.
+    /// W002: a literal slice index (`v[0]`) in non-test library code of
+    /// a serving crate. The panicking calls are clippy's to deny.
     PanicInLibrary,
     /// W003: atomic orderings stronger than `Relaxed`, or undocumented
     /// cross-field atomic read sequences, in `crates/obs`.
     AtomicOrdering,
-    /// W004: an accounted enum variant that does not increment exactly
-    /// one metrics counter family.
-    Accounting,
     /// W005: malformed, unknown, or unused allow pragmas.
     PragmaHygiene,
     /// W006: a span-starting call whose RAII guard is discarded or
@@ -51,11 +48,10 @@ pub enum Rule {
     ReadPathPurity,
 }
 
-pub const ALL_RULES: [Rule; 13] = [
+pub const ALL_RULES: [Rule; 12] = [
     Rule::UnorderedIter,
     Rule::PanicInLibrary,
     Rule::AtomicOrdering,
-    Rule::Accounting,
     Rule::PragmaHygiene,
     Rule::SpanDiscipline,
     Rule::LockOrder,
@@ -73,7 +69,6 @@ impl Rule {
             Rule::UnorderedIter => "W001",
             Rule::PanicInLibrary => "W002",
             Rule::AtomicOrdering => "W003",
-            Rule::Accounting => "W004",
             Rule::PragmaHygiene => "W005",
             Rule::SpanDiscipline => "W006",
             Rule::LockOrder => "W007",
@@ -91,7 +86,6 @@ impl Rule {
             Rule::UnorderedIter => "unordered_iter",
             Rule::PanicInLibrary => "panic_in_library",
             Rule::AtomicOrdering => "atomic_ordering",
-            Rule::Accounting => "accounting",
             Rule::PragmaHygiene => "pragma_hygiene",
             Rule::SpanDiscipline => "span_discipline",
             Rule::LockOrder => "lock_order",

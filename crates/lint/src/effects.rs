@@ -673,7 +673,7 @@ pub fn w012_hot_path(
 /// W013's fixed deny mask: the read path must never take ingest locks,
 /// block, or loop unboundedly. `reads_clock` is sanctioned (latency
 /// metering), `allocates` is tolerated (handlers serialize JSON),
-/// `panics` is W002/W009's beat.
+/// `panics` is clippy's and W009's beat.
 pub const READ_PATH_DENY: u8 = ACQUIRES_LOCK | BLOCKS_OR_SYSCALLS | UNBOUNDED_ITERATION;
 
 /// W013 `read_path_purity`: `QuerySnapshot` reader methods and the

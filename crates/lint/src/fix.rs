@@ -10,9 +10,6 @@
 //! * W005: a stale pragma that suppresses nothing is deleted (the whole
 //!   line when the pragma stands alone, just the trailing comment when it
 //!   rides a code line).
-//! * W002: `let x = expr.unwrap();` inside an `Option`-returning
-//!   function becomes `let Some(x) = expr else { return None; };` — only
-//!   that exact shape, anything fancier is left to a human.
 //!
 //! **Suggestions** (e.g. W008's suffix-normalizing renames) appear in the
 //! `--fix --dry-run` diff as commentary but are never applied: a rename
@@ -79,14 +76,6 @@ pub fn attach_fixes(files: &[(SourceFile, FileContext)], violations: &mut [Viola
                     });
                 }
             }
-            Rule::PanicInLibrary if v.message.contains("`unwrap()`") => {
-                if let Some(new) = let_else_rewrite(file, v.line) {
-                    v.fix = Some(crate::diag::FixEdit {
-                        kind: FixKind::ReplaceLine { new },
-                        safe: true,
-                    });
-                }
-            }
             _ => {}
         }
     }
@@ -107,42 +96,6 @@ fn comment_start(raw: &str) -> Option<usize> {
         search = at + 2;
     }
     best
-}
-
-/// For `let <ident> = <expr>.unwrap();` on `lineno` inside a function
-/// whose return type is `Option<…>`, the let-else rewrite preserving the
-/// original indentation. `None` when the shape doesn't match exactly.
-fn let_else_rewrite(file: &SourceFile, lineno: usize) -> Option<String> {
-    let line = file.lines.get(lineno - 1)?;
-    let code = line.code.trim_end();
-    let trimmed = code.trim_start();
-    let rest = trimmed.strip_prefix("let ")?;
-    let eq = rest.find('=')?;
-    let name = rest[..eq].trim();
-    if name.is_empty() || !name.chars().all(crate::lexer::is_ident_char) {
-        return None;
-    }
-    let rhs = rest[eq + 1..].trim();
-    let expr = rhs.strip_suffix(".unwrap();")?;
-    if expr.contains(".unwrap()") {
-        return None; // chained unwraps need a human
-    }
-    // The enclosing fn must return Option<…> for `return None` to type.
-    let mut returns_option = false;
-    for prev in file.lines[..lineno - 1].iter().rev() {
-        let c = &prev.code;
-        if c.contains("fn ") {
-            returns_option = c.contains("-> Option<");
-            break;
-        }
-    }
-    if !returns_option {
-        return None;
-    }
-    let indent: String = line.raw.chars().take_while(|c| c.is_whitespace()).collect();
-    Some(format!(
-        "{indent}let Some({name}) = {expr} else {{ return None; }};"
-    ))
 }
 
 /// One file's worth of pending edits: (1-based line, fix, rule).
@@ -329,36 +282,6 @@ mod tests {
             }
             other => panic!("unexpected fix {other:?}"),
         }
-    }
-
-    #[test]
-    fn unwrap_in_option_fn_gets_let_else() {
-        let src = "fn lookup(m: &std::collections::BTreeMap<u32, u32>) -> Option<u32> {\n    let v = m.get(&1).copied().unwrap();\n    Some(v)\n}\n";
-        let v = analyzed("fixture.rs", src);
-        let panic_v = v
-            .iter()
-            .find(|v| v.rule == Rule::PanicInLibrary)
-            .expect("unwrap violation");
-        match &panic_v.fix.as_ref().expect("fix").kind {
-            FixKind::ReplaceLine { new } => {
-                assert_eq!(
-                    new,
-                    "    let Some(v) = m.get(&1).copied() else { return None; };"
-                );
-            }
-            other => panic!("unexpected fix {other:?}"),
-        }
-    }
-
-    #[test]
-    fn unwrap_outside_option_fn_gets_no_auto_fix() {
-        let src = "fn lookup(m: &std::collections::BTreeMap<u32, u32>) -> u32 {\n    let v = m.get(&1).copied().unwrap();\n    v\n}\n";
-        let v = analyzed("fixture.rs", src);
-        let panic_v = v
-            .iter()
-            .find(|v| v.rule == Rule::PanicInLibrary)
-            .expect("unwrap violation");
-        assert!(panic_v.fix.is_none());
     }
 
     #[test]

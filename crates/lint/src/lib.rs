@@ -12,9 +12,8 @@
 //! | rule | slug                | checks |
 //! |------|---------------------|--------|
 //! | W001 | `unordered_iter`    | no hash-ordered iteration feeding deterministic output |
-//! | W002 | `panic_in_library`  | no panic paths in serving-crate library code |
+//! | W002 | `panic_in_library`  | no literal slice index in serving-crate library code |
 //! | W003 | `atomic_ordering`   | Relaxed-only metrics atomics; documented snapshot tearing |
-//! | W004 | `accounting`        | every accounted enum variant hits exactly one counter family |
 //! | W005 | `pragma_hygiene`    | allow pragmas are real, reasoned, and used |
 //! | W006 | `span_discipline`   | span-start guards are bound, never discarded or dropped inline |
 //! | W007 | `lock_order`        | one global lock order, propagated through call edges; no cycles |
@@ -24,6 +23,11 @@
 //! | W011 | `metric_hygiene`    | metric families are snake_case with a unit or dimensionless suffix |
 //! | W012 | `hot_path_effects`  | budget-annotated hot entry points stay within their denied-effect set |
 //! | W013 | `read_path_purity`  | snapshot readers / serve handlers stay effect-free past the blessed read |
+//!
+//! The panicking calls (`unwrap`, `expect`, `panic!`, `todo!`,
+//! `unimplemented!`) are denied by clippy at the serving crates' roots,
+//! and the counter each `IngestOutcome`/`FixMethod` lands in is chosen by
+//! an exhaustive `match` the compiler checks.
 //!
 //! W012/W013 run on phase 3 ([`effects`]): an interprocedural effect
 //! inference over the lattice `{allocates, acquires_lock,
@@ -40,7 +44,6 @@
 #![forbid(unsafe_code)]
 #![deny(rust_2018_idioms)]
 
-pub mod accounting;
 pub mod callgraph;
 pub mod diag;
 pub mod effects;
@@ -188,9 +191,6 @@ pub fn analyze_timed(files: &[(SourceFile, FileContext)]) -> (Vec<Violation>, Ti
             rules::w010_raw_sync(file, &mut pragmas, &mut out);
         }
     });
-    timed(&mut t, "W004 accounting", || {
-        accounting::w004_accounting(&sources, &mut out);
-    });
     // Phase 2: workspace symbol table and graph rules.
     let table = timed(&mut t, "symbol table", || {
         symbols::SymbolTable::build(files)
@@ -331,7 +331,7 @@ mod tests {
 
     #[test]
     fn violations_sort_stably() {
-        let src = "fn f(m: std::collections::HashMap<u32, u32>) -> u32 {\n    let mut t = 0.0;\n    for v in m.values() { t += *v as f64; }\n    x.unwrap()\n}\n";
+        let src = "fn f(m: std::collections::HashMap<u32, u32>) -> u32 {\n    let mut t = 0.0;\n    for v in m.values() { t += *v as f64; }\n    t[0]\n}\n";
         let v = analyze_file_all_rules("fixture.rs", src);
         assert!(v.windows(2).all(|w| w[0].line <= w[1].line));
         assert!(v.iter().any(|v| v.rule == Rule::UnorderedIter));

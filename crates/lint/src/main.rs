@@ -185,12 +185,12 @@ fn format_flag(args: &[String]) -> Result<bool, String> {
 fn print_usage() {
     eprintln!(
         "usage: wilocator-lint [--workspace | <file.rs>...] [--format rustc|sarif] [--fix [--dry-run]] [--timings] | --rules\n\
-         Checks determinism (W001), panic-freedom (W002), atomic orderings\n\
-         (W003), accounting exhaustiveness (W004), pragma hygiene (W005),\n\
-         span guard discipline (W006), lock order (W007), unit dataflow\n\
-         (W008), transitive panic paths (W009), raw sync primitives in\n\
-         sync-layer modules (W010), metric family hygiene (W011), hot-path\n\
-         effect budgets (W012) and read-path purity (W013).\n\
+         Checks determinism (W001), literal slice indexing (W002), atomic\n\
+         orderings (W003), pragma hygiene (W005), span guard discipline\n\
+         (W006), lock order (W007), unit dataflow (W008), transitive panic\n\
+         paths (W009), raw sync primitives in sync-layer modules (W010),\n\
+         metric family hygiene (W011), hot-path effect budgets (W012) and\n\
+         read-path purity (W013).\n\
          --format sarif  emit a SARIF 2.1.0 log on stdout\n\
          --fix           apply safe fixes in place\n\
          --fix --dry-run print the fix diff (and suggestions) without writing\n\

@@ -102,7 +102,7 @@ impl PragmaSet {
                         p.line,
                         format!("pragma names unknown rule `{}`", p.slug),
                     )
-                    .with_note("valid slugs: unordered_iter, panic_in_library, atomic_ordering, accounting, pragma_hygiene, span_discipline, lock_order, unit_dataflow, transitive_panic, raw_sync, metric_hygiene, hot_path_effects, read_path_purity"),
+                    .with_note("valid slugs: unordered_iter, panic_in_library, atomic_ordering, pragma_hygiene, span_discipline, lock_order, unit_dataflow, transitive_panic, raw_sync, metric_hygiene, hot_path_effects, read_path_purity"),
                 );
             } else if p.reason.is_empty() {
                 out.push(

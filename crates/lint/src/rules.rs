@@ -1,7 +1,7 @@
-//! Rules W001 (unordered iteration), W002 (panic in library code),
-//! W003 (atomic orderings / snapshot tearing docs), W006 (span guard
-//! discipline), W010 (raw sync primitives in sync-layer modules) and
-//! W011 (metric family naming hygiene).
+//! Rules W001 (unordered iteration), W002 (literal slice index in
+//! library code), W003 (atomic orderings / snapshot tearing docs), W006
+//! (span guard discipline), W010 (raw sync primitives in sync-layer
+//! modules) and W011 (metric family naming hygiene).
 //!
 //! All of them work on the blanked per-line code text from the lexer, so
 //! string literals and comments never trigger matches.
@@ -293,80 +293,42 @@ fn for_in_target(code: &str) -> Option<String> {
 // W002: panic in library code
 // ---------------------------------------------------------------------------
 
+/// Flags `expr[<integer literal>]` in non-test code. The panicking calls
+/// (`unwrap`, `expect`, `panic!`, `todo!`, `unimplemented!`) are denied
+/// by clippy at each serving crate's root; clippy's `indexing_slicing`
+/// would also flag every computed index, so literal subscripts stay here.
 pub fn w002_panic_in_library(file: &SourceFile, pragmas: &mut PragmaSet, out: &mut Vec<Violation>) {
     for (idx, line) in file.lines.iter().enumerate() {
         if line.is_test {
             continue;
         }
-        let code = &line.code;
-        let lineno = idx + 1;
-        let mut hits: Vec<(String, &str)> = Vec::new();
-        for (pat, what) in [
-            (".unwrap()", "unwrap() panics on None/Err"),
-            (".expect(", "expect() panics on None/Err"),
-            ("panic!(", "explicit panic!"),
-            ("unimplemented!(", "unimplemented! aborts the request"),
-            ("todo!(", "todo! aborts the request"),
-        ] {
-            if contains_call(code, pat) {
-                hits.push((pat.trim_start_matches('.').to_string(), what));
-            }
-        }
-        if let Some(subscript) = literal_subscript(code) {
-            // Indexing straight out of a `windows`/`chunks` binding has a
-            // length guarantee the lexer can see; anything else panics when
-            // the collection is shorter than the literal assumes.
-            let guarded = file.lines[idx.saturating_sub(6)..=idx]
-                .iter()
-                .any(|l| l.code.contains(".windows(") || l.code.contains(".chunks("));
-            if !guarded {
-                hits.push((
-                    format!("[{subscript}] indexing"),
-                    "literal slice index panics when out of bounds",
-                ));
-            }
-        }
-        if hits.is_empty() {
+        let Some(subscript) = literal_subscript(&line.code) else {
             continue;
-        }
-        if pragmas.allows(Rule::PanicInLibrary, &file.path, lineno) {
-            continue;
-        }
-        for (what, why) in hits {
-            out.push(
-                Violation::new(
-                    Rule::PanicInLibrary,
-                    &file.path,
-                    lineno,
-                    format!("`{what}` in library code: {why}"),
-                )
-                .with_note(
-                    "propagate the error, restructure to make the case impossible, or add `// lint: allow(panic_in_library) — <invariant>`",
-                ),
-            );
-        }
-    }
-}
-
-/// True when `pat` occurs in `code` as a call, not as part of a longer
-/// identifier (so `.unwrap()` does not match `.unwrap_or_else(`, and
-/// `panic!(` does not match `core::panic!(` prefixed identifiers oddly).
-pub(crate) fn contains_call(code: &str, pat: &str) -> bool {
-    let mut search = 0;
-    while let Some(found) = code[search..].find(pat) {
-        let at = search + found;
-        let before_ok = if pat.starts_with('.') {
-            true
-        } else {
-            // Macro patterns: previous char must not be an identifier char.
-            at == 0 || !is_ident_char(code[..at].chars().next_back().unwrap_or(' '))
         };
-        if before_ok {
-            return true;
+        // Indexing straight out of a `windows`/`chunks` binding has a
+        // length guarantee the lexer can see; anything else panics when
+        // the collection is shorter than the literal assumes.
+        let guarded = file.lines[idx.saturating_sub(6)..=idx]
+            .iter()
+            .any(|l| l.code.contains(".windows(") || l.code.contains(".chunks("));
+        let lineno = idx + 1;
+        if guarded || pragmas.allows(Rule::PanicInLibrary, &file.path, lineno) {
+            continue;
         }
-        search = at + pat.len();
+        out.push(
+            Violation::new(
+                Rule::PanicInLibrary,
+                &file.path,
+                lineno,
+                format!(
+                    "`[{subscript}] indexing` in library code: literal slice index panics when out of bounds"
+                ),
+            )
+            .with_note(
+                "propagate the error, restructure to make the case impossible, or add `// lint: allow(panic_in_library) — <invariant>`",
+            ),
+        );
     }
-    false
 }
 
 /// Finds `expr[<integer literal>]` on the line and returns the literal.

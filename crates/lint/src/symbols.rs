@@ -25,7 +25,8 @@ use std::collections::{BTreeMap, BTreeSet};
 /// A lock acquisition method and the receiver shape it needs.
 const ACQUIRE_METHODS: [&str; 3] = [".lock()", ".read()", ".write()"];
 
-/// Panic-path call shapes (mirrors W002's local patterns).
+/// Panic-path call shapes. Clippy denies them in serving-crate library
+/// code; W009 and the `panics` effect still need to find them in callees.
 pub const PANIC_PATTERNS: [(&str, &str); 5] = [
     (".unwrap()", "unwrap()"),
     (".expect(", "expect()"),
@@ -33,6 +34,27 @@ pub const PANIC_PATTERNS: [(&str, &str); 5] = [
     ("unimplemented!(", "unimplemented!"),
     ("todo!(", "todo!"),
 ];
+
+/// True when `pat` occurs in `code` as a call, not as part of a longer
+/// identifier (so `.unwrap()` does not match `.unwrap_or_else(`, and
+/// `panic!(` does not match `core::panic!(` prefixed identifiers oddly).
+fn contains_call(code: &str, pat: &str) -> bool {
+    let mut search = 0;
+    while let Some(found) = code[search..].find(pat) {
+        let at = search + found;
+        let before_ok = if pat.starts_with('.') {
+            true
+        } else {
+            // Macro patterns: previous char must not be an identifier char.
+            at == 0 || !is_ident_char(code[..at].chars().next_back().unwrap_or(' '))
+        };
+        if before_ok {
+            return true;
+        }
+        search = at + pat.len();
+    }
+    false
+}
 
 /// One lock acquisition inside a function body.
 #[derive(Debug, Clone)]
@@ -860,7 +882,7 @@ fn scan_body_line(
 
     // Panic sites.
     for (pat, what) in PANIC_PATTERNS {
-        if crate::rules::contains_call(code, pat) {
+        if contains_call(code, pat) {
             sym.panics.push(PanicSite {
                 line: lineno,
                 what: what.to_string(),

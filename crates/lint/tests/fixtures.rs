@@ -50,8 +50,8 @@ fn bad_fixtures_trip_their_rule() {
         seen.insert(want);
     }
     for code in [
-        "W001", "W002", "W003", "W004", "W005", "W006", "W007", "W008", "W009", "W010", "W011",
-        "W012", "W013",
+        "W001", "W002", "W003", "W005", "W006", "W007", "W008", "W009", "W010", "W011", "W012",
+        "W013",
     ] {
         assert!(seen.contains(code), "no bad fixture exercises {code}");
     }
@@ -108,8 +108,8 @@ fn good_fixtures_are_clean() {
         seen.insert(want);
     }
     for code in [
-        "W001", "W002", "W003", "W004", "W005", "W006", "W007", "W008", "W009", "W010", "W011",
-        "W012", "W013",
+        "W001", "W002", "W003", "W005", "W006", "W007", "W008", "W009", "W010", "W011", "W012",
+        "W013",
     ] {
         assert!(seen.contains(code), "no good fixture exercises {code}");
     }

@@ -1,24 +1,6 @@
-//! Bad: panic paths in library code — every one of these aborts the
-//! serving request that hits it.
-
-pub fn first_fix(fixes: &[f64]) -> f64 {
-    fixes.first().copied().unwrap()
-}
-
-pub fn lookup(map: &std::collections::BTreeMap<u32, f64>, k: u32) -> f64 {
-    *map.get(&k).expect("key present")
-}
+//! Bad: a literal slice index in library code aborts the serving
+//! request that hits a shorter slice.
 
 pub fn third(values: &[f64]) -> f64 {
-    values[2]
-}
-
-pub fn not_done() {
-    unimplemented!("later")
-}
-
-pub fn boom(flag: bool) {
-    if flag {
-        panic!("bad flag");
-    }
+    values[2] //~ W002
 }

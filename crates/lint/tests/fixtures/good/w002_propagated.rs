@@ -1,30 +1,10 @@
-//! Good: serving-path error handling without panics — propagation with
-//! `?`, explicit defaults, checked access, and the `windows` length
-//! guarantee the lint recognises. Panicky helpers are fine in tests.
-
-pub fn parse_rss(field: &str) -> Result<i32, String> {
-    field
-        .trim()
-        .parse::<i32>()
-        .map_err(|e| format!("bad rss field: {e}"))
-}
-
-pub fn mean_rss(fields: &[&str]) -> Result<f64, String> {
-    let mut sum = 0.0;
-    for f in fields {
-        sum += f64::from(parse_rss(f)?);
-    }
-    Ok(sum / fields.len().max(1) as f64)
-}
+//! Good: serving-path indexing without panics — checked access, and the
+//! `windows` length guarantee the lint recognises. Literal subscripts
+//! are fine in tests.
 
 /// Checked access instead of a literal subscript.
 pub fn third(values: &[f64]) -> f64 {
     values.get(2).copied().unwrap_or(f64::NAN)
-}
-
-/// Defaults instead of unwraps.
-pub fn first_or_zero(values: &[u32]) -> u32 {
-    values.first().copied().unwrap_or_default()
 }
 
 /// Indexing straight out of `windows(2)` carries a length guarantee.
@@ -41,8 +21,10 @@ mod tests {
     use super::*;
 
     #[test]
-    fn parses() {
-        // Test code may panic freely: a failed expect IS the test failure.
-        assert_eq!(parse_rss(" -61 ").expect("parses"), -61);
+    fn third_of_three() {
+        // Test code may index freely: an out-of-bounds panic IS the test
+        // failure.
+        let v = [1.0, 2.0, 3.0];
+        assert_eq!(third(&v), v[2]);
     }
 }

@@ -4,7 +4,7 @@
 
 pub fn first_checkpoint(route: &[u32]) -> u32 {
     // lint: allow(panic_in_library) — routes are validated non-empty at load time
-    *route.first().expect("validated non-empty at load")
+    route[0]
 }
 
 pub fn head(values: &[f64]) -> f64 {

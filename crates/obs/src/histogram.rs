@@ -1,7 +1,6 @@
 //! Log-bucketed latency histogram and RAII span timer.
 
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::time::Instant;
 
 use crate::clock::Clock;
 
@@ -67,19 +66,9 @@ impl Histogram {
         self.sum.fetch_add(v, Ordering::Relaxed);
     }
 
-    /// Starts a span whose elapsed wall-clock **microseconds** are recorded
-    /// here when the returned guard drops.
-    #[inline]
-    pub fn time(&self) -> SpanTimer<'_> {
-        SpanTimer {
-            histogram: self,
-            start: Instant::now(),
-        }
-    }
-
-    /// Like [`Histogram::time`], but reads the given [`Clock`] instead of
-    /// `Instant` — inject a stepping clock to make timing goldens
-    /// deterministic.
+    /// Starts a span whose elapsed **microseconds** on `clock` are
+    /// recorded here when the returned guard drops — inject a stepping
+    /// clock to make timing goldens deterministic.
     #[inline]
     pub fn time_with<'a>(&'a self, clock: &'a dyn Clock) -> ClockSpanTimer<'a> {
         ClockSpanTimer {
@@ -118,27 +107,8 @@ impl Histogram {
     }
 }
 
-/// Measures one span of wall-clock time; records elapsed microseconds into
-/// its histogram on drop. Obtain via [`Histogram::time`].
-#[derive(Debug)]
-pub struct SpanTimer<'a> {
-    histogram: &'a Histogram,
-    start: Instant,
-}
-
-impl SpanTimer<'_> {
-    /// Stops the span early (equivalent to dropping the guard).
-    pub fn stop(self) {}
-}
-
-impl Drop for SpanTimer<'_> {
-    fn drop(&mut self) {
-        self.histogram
-            .record(self.start.elapsed().as_micros() as u64);
-    }
-}
-
-/// Like [`SpanTimer`] but driven by an injected [`Clock`]. Obtain via
+/// Measures one span on an injected [`Clock`]; records elapsed
+/// microseconds into its histogram on drop. Obtain via
 /// [`Histogram::time_with`].
 #[derive(Debug)]
 pub struct ClockSpanTimer<'a> {
@@ -288,16 +258,6 @@ mod tests {
         sa.merge(&b.snapshot());
         assert_eq!(sa.count, 3);
         assert_eq!(sa.sum, 15);
-    }
-
-    #[test]
-    fn span_timer_records_on_drop() {
-        let h = Histogram::new();
-        {
-            let _t = h.time();
-        }
-        h.time().stop();
-        assert_eq!(h.count(), 2);
     }
 
     #[test]

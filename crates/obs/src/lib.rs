@@ -9,7 +9,7 @@
 //!
 //! * [`Counter`] / [`Gauge`] — relaxed-atomic scalars;
 //! * [`Histogram`] — lock-free log-bucketed value distribution, with a
-//!   RAII [`SpanTimer`] for wall-clock latency spans;
+//!   RAII [`ClockSpanTimer`] for latency spans on an injected [`Clock`];
 //! * [`MetricsSnapshot`] — plain-data aggregation with merge semantics, a
 //!   deterministic text form for golden tests, and Prometheus-style
 //!   exposition;
@@ -38,12 +38,13 @@
 //! # Examples
 //!
 //! ```
-//! use wilocator_obs::{Counter, Histogram, MetricsSnapshot, metric_key};
+//! use wilocator_obs::{metric_key, Counter, Histogram, MetricsSnapshot, MonotonicClock};
 //!
+//! let clock = MonotonicClock::new();
 //! let reports = Counter::new();
 //! let lock_us = Histogram::new();
 //! {
-//!     let _span = lock_us.time(); // records elapsed µs on drop
+//!     let _span = lock_us.time_with(&clock); // records elapsed µs on drop
 //!     reports.inc();
 //! }
 //! let mut snap = MetricsSnapshot::new();
@@ -55,6 +56,16 @@
 
 #![forbid(unsafe_code)]
 #![deny(rust_2018_idioms)]
+#![cfg_attr(
+    not(test),
+    deny(
+        clippy::unwrap_used,
+        clippy::expect_used,
+        clippy::panic,
+        clippy::todo,
+        clippy::unimplemented
+    )
+)]
 
 pub mod clock;
 pub mod counter;
@@ -66,7 +77,7 @@ pub mod trace;
 
 pub use clock::{Clock, MonotonicClock, SteppingClock};
 pub use counter::{Counter, Gauge};
-pub use histogram::{ClockSpanTimer, Histogram, HistogramSnapshot, SpanTimer, BUCKETS};
+pub use histogram::{ClockSpanTimer, Histogram, HistogramSnapshot, BUCKETS};
 pub use snapshot::{
     escape_label_value, metric_key, validate_exposition_line, Collect, MetricsSnapshot, Registry,
 };
@@ -74,5 +85,6 @@ pub use timeseries::{
     SeriesKind, SeriesView, TimeSeries, TimeSeriesConfig, WindowAgg, WindowPoint,
 };
 pub use trace::{
-    FieldList, FieldValue, SpanData, SpanGuard, TraceConfig, TraceCtx, TraceData, Tracer,
+    write_json_str, FieldList, FieldValue, SpanData, SpanGuard, TraceConfig, TraceCtx, TraceData,
+    Tracer,
 };

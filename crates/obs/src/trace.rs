@@ -182,16 +182,16 @@ impl fmt::Display for FieldValue {
 }
 
 impl FieldValue {
-    /// The value as a JSON literal (non-finite floats become strings,
-    /// which plain JSON cannot carry as numbers).
-    fn json(&self) -> String {
+    /// Appends the value as a JSON literal (non-finite floats become
+    /// strings, which plain JSON cannot carry as numbers).
+    fn write_json(&self, out: &mut String) {
         match self {
-            FieldValue::U64(v) => v.to_string(),
-            FieldValue::I64(v) => v.to_string(),
-            FieldValue::F64(v) if v.is_finite() => format!("{v:.2}"),
-            FieldValue::F64(v) => format!("\"{v}\""),
-            FieldValue::Str(s) => format!("\"{}\"", json_escape(s)),
-            FieldValue::Bool(b) => b.to_string(),
+            FieldValue::U64(v) => out.push_str(&v.to_string()),
+            FieldValue::I64(v) => out.push_str(&v.to_string()),
+            FieldValue::F64(v) if v.is_finite() => out.push_str(&format!("{v:.2}")),
+            FieldValue::F64(v) => out.push_str(&format!("\"{v}\"")),
+            FieldValue::Str(s) => write_json_str(out, s),
+            FieldValue::Bool(b) => out.push_str(&b.to_string()),
         }
     }
 }
@@ -729,9 +729,10 @@ impl Collect for Tracer {
 
 /// Renders one span as a Chrome trace-event object.
 fn chrome_event(out: &mut String, t: &TraceData, sp: &SpanData) {
+    out.push_str("{\"name\":");
+    write_json_str(out, sp.name);
     out.push_str(&format!(
-        "{{\"name\":\"{}\",\"cat\":\"wilocator\",\"ph\":\"X\",\"ts\":{},\"dur\":{},\"pid\":{},\"tid\":{},\"args\":{{",
-        json_escape(sp.name),
+        ",\"cat\":\"wilocator\",\"ph\":\"X\",\"ts\":{},\"dur\":{},\"pid\":{},\"tid\":{},\"args\":{{",
         sp.start_us,
         sp.duration_us(),
         t.shard,
@@ -740,7 +741,8 @@ fn chrome_event(out: &mut String, t: &TraceData, sp: &SpanData) {
     let mut first = true;
     if sp.is_root() {
         if let Some(a) = t.anomaly {
-            out.push_str(&format!("\"anomaly\":\"{}\"", json_escape(a)));
+            out.push_str("\"anomaly\":");
+            write_json_str(out, a);
             first = false;
         }
     } else {
@@ -752,7 +754,9 @@ fn chrome_event(out: &mut String, t: &TraceData, sp: &SpanData) {
             out.push(',');
         }
         first = false;
-        out.push_str(&format!("\"{}\":{}", json_escape(k), v.json()));
+        write_json_str(out, k);
+        out.push(':');
+        v.write_json(out);
     }
     out.push_str("}}");
 }
@@ -802,9 +806,13 @@ fn mix64(mut x: u64) -> u64 {
     x ^ (x >> 31)
 }
 
-/// Escapes a string for embedding in a JSON string literal.
-fn json_escape(s: &str) -> String {
-    let mut out = String::with_capacity(s.len());
+/// Appends `s` to `out` as a JSON string literal, quotes included.
+/// Control characters without a short escape become lowercase `\u00xx`.
+/// Inlinable across crates: the rider front end calls it for every key
+/// and string value of every response.
+#[inline]
+pub fn write_json_str(out: &mut String, s: &str) {
+    out.push('"');
     for c in s.chars() {
         match c {
             '"' => out.push_str("\\\""),
@@ -816,7 +824,7 @@ fn json_escape(s: &str) -> String {
             c => out.push(c),
         }
     }
-    out
+    out.push('"');
 }
 
 /// Mutable trace state, thread-confined behind the context's `RefCell`.
@@ -860,12 +868,6 @@ impl TraceCtx<'_> {
     /// The trace's unique id.
     pub fn trace_id(&self) -> u64 {
         self.trace_id
-    }
-
-    /// True when this trace records clock-stamped child spans; sampled
-    /// by [`Tracer::start_root_span_keyed`], always true otherwise.
-    pub fn is_detailed(&self) -> bool {
-        self.detailed
     }
 
     /// Closes the trace using a caller-supplied root end stamp instead
@@ -1226,6 +1228,13 @@ mod tests {
         assert!(json.contains("\"nan\":\"NaN\""));
         assert!(json.starts_with("{\"displayTimeUnit\":\"ms\",\"traceEvents\":["));
         assert!(json.ends_with("]}"));
+    }
+
+    #[test]
+    fn json_str_escapes_specials_and_controls() {
+        let mut out = String::new();
+        write_json_str(&mut out, "a\"b\\c\nd\te\u{1}f\u{1f}");
+        assert_eq!(out, "\"a\\\"b\\\\c\\nd\\te\\u0001f\\u001f\"");
     }
 
     #[test]

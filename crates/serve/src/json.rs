@@ -8,31 +8,7 @@
 //! `{}` formatting, so a deterministic replay yields byte-identical
 //! bodies — which the golden response tests rely on.
 
-/// Appends `s` to `out` as a JSON string literal (quotes included).
-pub fn write_str(out: &mut String, s: &str) {
-    out.push('"');
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => {
-                out.push_str("\\u00");
-                let b = c as u32;
-                push_hex_digit(out, b >> 4);
-                push_hex_digit(out, b & 0xF);
-            }
-            c => out.push(c),
-        }
-    }
-    out.push('"');
-}
-
-fn push_hex_digit(out: &mut String, d: u32) {
-    out.push(char::from_digit(d, 16).unwrap_or('0'));
-}
+use wilocator_obs::write_json_str;
 
 /// Appends `v` as a JSON number — shortest round-trip form, `null` for
 /// non-finite values (JSON has no NaN/Inf).
@@ -69,14 +45,14 @@ impl JsonObj {
             self.buf.push(',');
         }
         self.first = false;
-        write_str(&mut self.buf, k);
+        write_json_str(&mut self.buf, k);
         self.buf.push(':');
     }
 
     /// Adds a string member.
     pub fn str_field(mut self, k: &str, v: &str) -> Self {
         self.key(k);
-        write_str(&mut self.buf, v);
+        write_json_str(&mut self.buf, v);
         self
     }
 
@@ -162,13 +138,6 @@ impl JsonArr {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn escapes_specials_and_controls() {
-        let mut out = String::new();
-        write_str(&mut out, "a\"b\\c\nd\te\u{1}f");
-        assert_eq!(out, "\"a\\\"b\\\\c\\nd\\te\\u0001f\"");
-    }
 
     #[test]
     fn floats_round_trip_shortest() {

@@ -2,16 +2,15 @@
 //!
 //! `respond` is a pure function of the server state and the request —
 //! the transport in [`crate::server`] only moves bytes. Every data
-//! endpoint reads exactly one [`QuerySnapshot`] (a single `Arc` clone;
-//! never a shard ingest lock), so a response is internally consistent
-//! even while ingest is rewriting tracker state. Queries are metered
-//! through [`wilocator_core::QueryMetrics`] and traced through the
-//! flight recorder like ingest batches, so `tracedump` can interleave
-//! rider queries with the pipeline spans they raced against.
+//! endpoint reads exactly one [`wilocator_core::QuerySnapshot`] (a
+//! single `Arc` clone; never a shard ingest lock), so a response is
+//! internally consistent even while ingest is rewriting tracker state.
+//! Queries are metered through [`wilocator_core::QueryMetrics`] and
+//! traced through the flight recorder like ingest batches, so
+//! `tracedump` can interleave rider queries with the pipeline spans they
+//! raced against.
 
-use std::sync::Arc;
-
-use wilocator_core::{BusKey, QualitySections, QueryEndpoint, QuerySnapshot, WiLocator};
+use wilocator_core::{BusKey, QualitySections, QueryEndpoint, WiLocator};
 use wilocator_obs::{SeriesView, WindowAgg};
 use wilocator_road::{RouteId, StopId};
 
@@ -556,12 +555,6 @@ fn target_key(target: &str) -> u64 {
         hash = hash.wrapping_mul(0x0000_0100_0000_01b3);
     }
     hash
-}
-
-/// Exposes the snapshot a response was served from; handy for tests
-/// that assert fix/arrival coherence against a response body.
-pub fn current_snapshot(server: &WiLocator) -> Arc<QuerySnapshot> {
-    server.query_snapshot()
 }
 
 #[cfg(test)]

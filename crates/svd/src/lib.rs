@@ -54,6 +54,16 @@
 
 #![forbid(unsafe_code)]
 #![deny(rust_2018_idioms)]
+#![cfg_attr(
+    not(test),
+    deny(
+        clippy::unwrap_used,
+        clippy::expect_used,
+        clippy::panic,
+        clippy::todo,
+        clippy::unimplemented
+    )
+)]
 
 pub mod diagram;
 pub mod interner;

@@ -13,6 +13,8 @@ use std::sync::Arc;
 
 use wilocator_obs::{metric_key, Collect, Counter, MetricsSnapshot};
 
+use crate::positioning::FixMethod;
+
 /// Counters of the route-constrained positioner
 /// ([`crate::RoutePositioner`] / [`crate::TrackingFilter`]).
 ///
@@ -21,21 +23,22 @@ use wilocator_obs::{metric_key, Collect, Counter, MetricsSnapshot};
 /// call resolves to exactly one of the four fix-method counters or to
 /// `none_total`, so
 /// `locate_total == exact + tie_boundary + nearest_signature + dead_reckoned + none`
-/// holds at any quiescent point.
+/// holds at any quiescent point. Those five counters are private and
+/// reached only through `PositioningMetrics::fix_total`.
 #[derive(Debug, Default)]
 pub struct PositioningMetrics {
     /// `locate` calls.
     pub locate_total: Counter,
     /// Fixes from a direct signature → sub-segment hit.
-    pub exact_total: Counter,
+    exact_total: Counter,
     /// Fixes on a merged tie boundary (equal ranks ⇒ SVE boundary point).
-    pub tie_boundary_total: Counter,
+    tie_boundary_total: Counter,
     /// Fixes via the nearest known signature (rank-vector mismatch).
-    pub nearest_signature_total: Counter,
+    nearest_signature_total: Counter,
     /// Fixes extrapolated inside the mobility window.
-    pub dead_reckoned_total: Counter,
+    dead_reckoned_total: Counter,
     /// `locate` calls that produced no fix (empty scan without prior).
-    pub none_total: Counter,
+    none_total: Counter,
     /// Scans whose candidates all contradicted the mobility window (the
     /// window won; the fix above is counted as dead-reckoned).
     pub mobility_override_total: Counter,
@@ -51,6 +54,27 @@ impl PositioningMetrics {
     /// A fresh, shareable ledger.
     pub fn shared() -> Arc<Self> {
         Arc::new(Self::default())
+    }
+
+    /// The one counter a `locate` result lands in: its fix method's, or
+    /// `none_total` for no fix. The match names every variant, so a
+    /// method added without a counter does not compile. It matches the
+    /// bare `FixMethod` because clippy's wildcard lints do not see a
+    /// `Some(_)` arm.
+    #[deny(
+        clippy::wildcard_enum_match_arm,
+        clippy::match_wildcard_for_single_variants
+    )]
+    pub(crate) fn fix_total(&self, method: Option<FixMethod>) -> &Counter {
+        let Some(method) = method else {
+            return &self.none_total;
+        };
+        match method {
+            FixMethod::Exact => &self.exact_total,
+            FixMethod::TieBoundary => &self.tie_boundary_total,
+            FixMethod::NearestSignature => &self.nearest_signature_total,
+            FixMethod::DeadReckoned => &self.dead_reckoned_total,
+        }
     }
 
     /// Sum of the non-exact resolution counters — the "fallback pressure"
@@ -168,6 +192,39 @@ mod tests {
         assert_eq!(snap.counter("svd_locate_total{route=\"9\"}"), 3);
         assert_eq!(snap.counter("svd_fix_exact_total{route=\"9\"}"), 2);
         assert_eq!(m.fallback_total(), 1);
+    }
+
+    #[test]
+    fn each_fix_method_moves_exactly_its_own_family() {
+        let cases = [
+            (Some(FixMethod::Exact), "svd_fix_exact_total"),
+            (Some(FixMethod::TieBoundary), "svd_fix_tie_boundary_total"),
+            (
+                Some(FixMethod::NearestSignature),
+                "svd_fix_nearest_signature_total",
+            ),
+            (Some(FixMethod::DeadReckoned), "svd_fix_dead_reckoned_total"),
+            (None, "svd_fix_none_total"),
+        ];
+        let families: std::collections::BTreeSet<&str> = cases.iter().map(|c| c.1).collect();
+        assert_eq!(
+            families.len(),
+            cases.len(),
+            "families are pairwise distinct"
+        );
+        for (method, family) in cases {
+            let m = PositioningMetrics::default();
+            m.fix_total(method).inc();
+            let mut snap = MetricsSnapshot::new();
+            m.collect_into("", &mut snap);
+            let moved: Vec<&str> = snap
+                .counters()
+                .iter()
+                .filter(|(_, v)| **v != 0)
+                .map(|(k, _)| k.as_str())
+                .collect();
+            assert_eq!(moved, [family], "{method:?}");
+        }
     }
 
     #[test]

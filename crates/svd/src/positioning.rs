@@ -316,13 +316,7 @@ impl RoutePositioner {
             if ranked.is_empty() {
                 m.empty_scan_total.inc();
             }
-            match fix.as_ref().map(|f| f.method) {
-                Some(FixMethod::Exact) => m.exact_total.inc(),
-                Some(FixMethod::TieBoundary) => m.tie_boundary_total.inc(),
-                Some(FixMethod::NearestSignature) => m.nearest_signature_total.inc(),
-                Some(FixMethod::DeadReckoned) => m.dead_reckoned_total.inc(),
-                None => m.none_total.inc(),
-            }
+            m.fix_total(fix.as_ref().map(|f| f.method)).inc();
         }
         fix
     }
@@ -403,7 +397,7 @@ impl RoutePositioner {
     fn note_fast_fix(&self) {
         if let Some(m) = &self.metrics {
             m.locate_total.inc();
-            m.exact_total.inc();
+            m.fix_total(Some(FixMethod::Exact)).inc();
         }
     }
 
