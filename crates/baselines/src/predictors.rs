@@ -1,8 +1,8 @@
 //! Arrival-prediction baselines: the transit agency's static timetable
 //! estimate and the same-route-only crowd predictor.
 
-use wilocator_core::{ArrivalPredictor, PredictorConfig, TravelTimeStore};
-use wilocator_road::{Route, RouteId};
+use wilocator_core::{ArrivalPredictor, PredictorConfig, ResidualSource, TravelTimeStore};
+use wilocator_road::{EdgeId, Route, RouteId};
 
 /// The "Transit Agency" predictor of Fig. 8b: per-slot historical means
 /// frozen at training time, with **no recent-residual correction** — the
@@ -55,12 +55,13 @@ impl AgencyPredictor {
     }
 }
 
-/// The same-route-only predictor (Zhou et al. [28, 29] style): identical
-/// to WiLocator's Equation 8 *except* that recent residuals come only from
-/// buses of the **same route** — on low-frequency routes the previous
+/// The same-route-only predictor (Zhou et al. [28, 29] style): WiLocator's
+/// own Equations 8–9 *except* that recent residuals come only from buses
+/// of the **same route** — on low-frequency routes the previous
 /// same-route bus is long gone, so the correction is usually stale or
-/// absent. The delta against WiLocator isolates the paper's cross-route
-/// contribution.
+/// absent. Both predictors run the one implementation in
+/// [`ArrivalPredictor`], so the delta against WiLocator isolates the
+/// paper's cross-route contribution, not how residuals are damped.
 #[derive(Debug)]
 pub struct SameRoutePredictor {
     predictor: ArrivalPredictor,
@@ -83,40 +84,12 @@ impl SameRoutePredictor {
     pub fn predict_segment(
         &self,
         store: &TravelTimeStore,
-        edge: wilocator_road::EdgeId,
+        edge: EdgeId,
         route: RouteId,
         t: f64,
     ) -> Option<f64> {
-        let th_own = self
-            .predictor
-            .historical_mean(store, edge, Some(route), t)?;
-        let recent = store.recent_buses(
-            edge,
-            t,
-            self.predictor.config().recent_window_s,
-            self.predictor.config().max_recent_buses,
-        );
-        let mut ratio_sum = 0.0;
-        let mut k = 0usize;
-        for tr in recent.iter().filter(|tr| tr.route == route) {
-            if let Some(th_k) =
-                self.predictor
-                    .historical_mean(store, edge, Some(tr.route), tr.t_enter)
-            {
-                if th_k > 1e-9 {
-                    ratio_sum += tr.travel_time() / th_k;
-                    k += 1;
-                }
-            }
-        }
-        if k == 0 {
-            return Some(th_own);
-        }
-        // Same multiplicative form and shrinkage as WiLocator's Equation 8
-        // implementation, so the comparison isolates *whose* residuals are
-        // used, not how they are damped.
-        let ratio = ((ratio_sum + 1.0) / (k as f64 + 1.0)).clamp(0.5, 3.0);
-        Some((th_own * ratio).max(1.0))
+        self.predictor
+            .predict_segment_with(store, edge, route, t, ResidualSource::SameRoute)
     }
 
     /// Equation 9 with same-route-only segment predictions.
@@ -128,32 +101,14 @@ impl SameRoutePredictor {
         t: f64,
         stop_s: f64,
     ) -> f64 {
-        if stop_s <= current_s {
-            return t;
-        }
-        let start = route.position_at(current_s);
-        let target = route.position_at(stop_s.min(route.length()));
-        let seg = |i: usize, t_cur: f64| {
-            self.predict_segment(store, route.edges()[i], route.id(), t_cur)
-                .unwrap_or_else(|| {
-                    route.edge_length(i) / self.predictor.config().fallback_speed_mps
-                })
-        };
-        let mut t_cur = t;
-        {
-            let i = start.edge_index;
-            let len = route.edge_length(i);
-            let tp = seg(i, t_cur);
-            if target.edge_index == i {
-                return t_cur + tp * (target.s_on_edge - start.s_on_edge).max(0.0) / len;
-            }
-            t_cur += tp * (len - start.s_on_edge) / len;
-        }
-        for i in start.edge_index + 1..target.edge_index {
-            t_cur += seg(i, t_cur);
-        }
-        let i = target.edge_index;
-        t_cur + seg(i, t_cur) * target.s_on_edge / route.edge_length(i)
+        self.predictor.predict_arrival_with(
+            store,
+            route,
+            current_s,
+            t,
+            stop_s,
+            ResidualSource::SameRoute,
+        )
     }
 }
 
@@ -261,6 +216,50 @@ mod tests {
         assert!((eta - now - 80.0).abs() < 5.0, "eta {}", eta - now);
         // Behind the bus: now.
         assert_eq!(sr.predict_arrival(&store, &route, 300.0, now, 100.0), now);
+    }
+
+    #[test]
+    fn same_route_equals_wilocator_unless_another_route_lends_a_residual() {
+        let route = route_2seg();
+        let mut store = seeded_store(&route, 5);
+        let now = 5.0 * DAY_S + 12.0 * 3_600.0;
+        // Recent traversals of the queried route only, one slow.
+        for (edge, dt, tt) in [(0, 700.0, 150.0), (1, 600.0, 90.0), (0, 400.0, 85.0)] {
+            store.record(
+                route.edges()[edge],
+                Traversal {
+                    route: RouteId(0),
+                    t_enter: now - dt,
+                    t_exit: now - dt + tt,
+                },
+            );
+        }
+        let mut wilocator = ArrivalPredictor::new(PredictorConfig::default());
+        let mut same_route = SameRoutePredictor::new(PredictorConfig::default());
+        wilocator.train(&store, 5.0 * DAY_S);
+        same_route.train(&store, 5.0 * DAY_S);
+        let both = |store: &TravelTimeStore| {
+            (
+                wilocator.predict_arrival(store, &route, 150.0, now, 1_100.0),
+                same_route.predict_arrival(store, &route, 150.0, now, 1_100.0),
+            )
+        };
+        let (w, s) = both(&store);
+        assert_eq!(w.to_bits(), s.to_bits(), "{w} vs {s}");
+        // One recent bus of another route crawled segment 1.
+        store.record(
+            route.edges()[1],
+            Traversal {
+                route: RouteId(7),
+                t_enter: now - 300.0,
+                t_exit: now - 300.0 + 240.0,
+            },
+        );
+        let (w, s) = both(&store);
+        assert!(
+            w > s,
+            "the cross-route residual moves only WiLocator: {w} vs {s}"
+        );
     }
 
     #[test]

@@ -117,30 +117,6 @@ impl TravelTimeStore {
             .take_while(move |tr| tr.t_exit < t)
     }
 
-    /// The most recent traversal of `edge` by each route, completed within
-    /// `(t - window, t)`. At most one record per route (the latest) — the
-    /// "J buses of K′ routes passing by e_i most recently".
-    pub fn recent_by_route(&self, edge: EdgeId, t: f64, window_s: f64) -> Vec<Traversal> {
-        let all = self.traversals(edge);
-        // Records are sorted by exit time: jump to the window start.
-        let start = all.partition_point(|tr| tr.t_exit <= t - window_s);
-        let mut latest: BTreeMap<RouteId, Traversal> = BTreeMap::new();
-        for tr in &all[start..] {
-            if tr.t_exit >= t {
-                break;
-            }
-            let e = latest.entry(tr.route).or_insert(*tr);
-            if tr.t_exit > e.t_exit {
-                *e = *tr;
-            }
-        }
-        // Exit-time ties between routes break on route id (the BTreeMap
-        // iteration order), never on hash order — replay determinism.
-        let mut out: Vec<Traversal> = latest.into_values().collect();
-        out.sort_by(|a, b| a.t_exit.total_cmp(&b.t_exit));
-        out
-    }
-
     /// The last `max_j` traversals of `edge` (any route) completed within
     /// `(t - window, t)`, oldest first — the "J buses of K′ routes passing
     /// by e_i most recently" of Equation 5.
@@ -225,40 +201,6 @@ mod tests {
     }
 
     #[test]
-    fn recent_by_route_takes_latest_per_route() {
-        let mut s = TravelTimeStore::new();
-        let e = EdgeId(3);
-        s.record(e, tr(0, 0.0, 60.0));
-        s.record(e, tr(0, 300.0, 380.0));
-        s.record(e, tr(1, 400.0, 490.0));
-        s.record(e, tr(1, 900.0, 1_000.0));
-        let recent = s.recent_by_route(e, 1_200.0, 1_000.0);
-        assert_eq!(recent.len(), 2);
-        // Route 0's latest in-window record is the 380 exit.
-        assert!(recent
-            .iter()
-            .any(|t| t.route == RouteId(0) && t.t_exit == 380.0));
-        assert!(recent
-            .iter()
-            .any(|t| t.route == RouteId(1) && t.t_exit == 1_000.0));
-        // A narrow window drops the older routes.
-        let narrow = s.recent_by_route(e, 1_200.0, 300.0);
-        assert_eq!(narrow.len(), 1);
-        assert_eq!(narrow[0].route, RouteId(1));
-    }
-
-    #[test]
-    fn recent_excludes_future_records() {
-        let mut s = TravelTimeStore::new();
-        let e = EdgeId(0);
-        s.record(e, tr(0, 0.0, 60.0));
-        s.record(e, tr(0, 100.0, 170.0));
-        let recent = s.recent_by_route(e, 150.0, 1_000.0);
-        assert_eq!(recent.len(), 1);
-        assert_eq!(recent[0].t_exit, 60.0);
-    }
-
-    #[test]
     fn mean_travel_time_filters() {
         let mut s = TravelTimeStore::new();
         let e = EdgeId(0);
@@ -283,6 +225,5 @@ mod tests {
         let s = TravelTimeStore::new();
         assert!(s.is_empty());
         assert!(s.traversals(EdgeId(0)).is_empty());
-        assert!(s.recent_by_route(EdgeId(0), 100.0, 100.0).is_empty());
     }
 }

@@ -81,20 +81,18 @@ pub use metrics::{
     PredictorMetrics, QueryEndpoint, QueryMetrics, ServerMetrics, ShardMetrics,
     NONDETERMINISTIC_COUNTER_FAMILIES,
 };
-pub use predict::{ArrivalPredictor, PredictorConfig};
+pub use predict::{ArrivalPredictor, PredictorConfig, ResidualSource};
 pub use proximity::{group_by_proximity, scan_distance_db, DeviceId};
 pub use quality::{
     DetectorStatus, HorizonQuality, QualityConfig, QualityMetrics, QualityPlane, QualitySections,
-    ResidualSketch, RouteQuality, SloConfig,
+    ResidualSketch, RouteQuality,
 };
 pub use report::{BusKey, RouteIdentifier, ScanReport};
 pub use seasonal::{
     partition_from_index, seasonal_index, SeasonalConfig, SeasonalIndex, SlotPartition,
 };
 pub use server::{CoreError, IngestResult, WiLocator, WiLocatorConfig};
-pub use snapshot::{
-    ArrivalEntry, BusView, QueryPlaneConfig, QuerySnapshot, SectionStamps, SnapshotCell,
-};
+pub use snapshot::{ArrivalEntry, BusView, QuerySnapshot, SectionStamps, SnapshotCell};
 pub use tracker::{
     crossing_time, segment_traversals, BusTracker, IngestOutcome, SegmentTraversal,
     TrackedTrajectory,

@@ -26,6 +26,24 @@ use crate::seasonal::{partition_from_index, seasonal_index, SeasonalConfig, Slot
 /// Key of the frozen-mean cache: `(segment, route filter, slot filter)`.
 type MeanKey = (EdgeId, Option<RouteId>, Option<usize>);
 
+/// Whose recent traversals lend their residuals to Equation 8.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum ResidualSource {
+    /// Recent buses of every route on the segment: WiLocator.
+    AnyRoute,
+    /// Recent buses of the queried route only: the same-route baseline.
+    SameRoute,
+}
+
+/// One Equation 9 walk: the arrival time, plus the segments summed and
+/// the residuals borrowed that the `predict` span records.
+#[derive(Debug, Clone, Copy)]
+struct Walk {
+    eta_s: f64,
+    segments: u64,
+    borrows: u64,
+}
+
 /// Configuration of the arrival predictor.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct PredictorConfig {
@@ -211,7 +229,8 @@ impl ArrivalPredictor {
     }
 
     /// Equation 8: predicted travel time of `route` on `edge` for a bus
-    /// entering around time `t`.
+    /// entering around time `t`, borrowing the residuals of recent buses
+    /// of every route. Rider-facing: moves the predictor ledger.
     ///
     /// Returns `None` only when the segment has no history at all.
     pub fn predict_segment(
@@ -221,23 +240,47 @@ impl ArrivalPredictor {
         route: RouteId,
         t: f64,
     ) -> Option<f64> {
-        self.predict_segment_counted(store, edge, route, t, Some(&self.metrics))
-            .0
+        self.segment(
+            store,
+            edge,
+            route,
+            t,
+            ResidualSource::AnyRoute,
+            Some(&self.metrics),
+        )
+        .0
     }
 
-    /// [`Predictor::predict_segment`] also reporting the K of Equation 8
-    /// (how many recent-bus residuals were borrowed), for trace fields.
-    ///
-    /// `ledger` is the accounting sink: rider-facing calls pass the shared
-    /// predictor ledger, background snapshot publication passes `None` so
-    /// its continuous recomputation never distorts the Eq. 8/9 counters
-    /// (which must stay a pure function of the ingested report stream).
-    fn predict_segment_counted(
+    /// [`ArrivalPredictor::predict_segment`] with the residuals drawn
+    /// from `residuals`, off the ledger (baselines).
+    pub fn predict_segment_with(
         &self,
         store: &TravelTimeStore,
         edge: EdgeId,
         route: RouteId,
         t: f64,
+        residuals: ResidualSource,
+    ) -> Option<f64> {
+        self.segment(store, edge, route, t, residuals, None).0
+    }
+
+    /// The segment rule of Equation 8, also reporting its K (how many
+    /// recent-bus residuals were borrowed), for trace fields. The recent
+    /// set is the last `max_recent_buses` traversals of any route inside
+    /// the window; `residuals` then decides which of them lend theirs.
+    ///
+    /// `ledger` is the accounting sink: rider-facing calls pass the shared
+    /// predictor ledger, background snapshot publication and baselines
+    /// pass `None` so their recomputation never distorts the Eq. 8/9
+    /// counters (which must stay a pure function of the ingested report
+    /// stream and the rider queries).
+    fn segment(
+        &self,
+        store: &TravelTimeStore,
+        edge: EdgeId,
+        route: RouteId,
+        t: f64,
+        residuals: ResidualSource,
         ledger: Option<&PredictorMetrics>,
     ) -> (Option<f64>, u64) {
         if let Some(m) = ledger {
@@ -252,12 +295,12 @@ impl ArrivalPredictor {
             self.config.recent_window_s,
             self.config.max_recent_buses,
         );
-        if recent.is_empty() {
-            return (Some(th_own), 0);
-        }
         let mut ratio_sum = 0.0;
         let mut k = 0usize;
-        for tr in &recent {
+        for tr in recent
+            .iter()
+            .filter(|tr| residuals == ResidualSource::AnyRoute || tr.route == route)
+        {
             if let Some(th_k) = self.historical_mean(store, edge, Some(tr.route), tr.t_enter) {
                 if th_k > 1e-9 {
                     ratio_sum += tr.travel_time() / th_k;
@@ -269,7 +312,7 @@ impl ArrivalPredictor {
             return (Some(th_own), 0);
         }
         // The K of Equation 8: residuals actually borrowed from recent
-        // buses (of any route) on this segment.
+        // buses on this segment.
         if let Some(m) = ledger {
             m.residual_borrow_total.add(k as u64);
             m.residual_applied_total.inc();
@@ -297,22 +340,30 @@ impl ArrivalPredictor {
         edge_index: usize,
         t: f64,
     ) -> f64 {
-        self.predict_segment_or_fallback_counted(store, route, edge_index, t, Some(&self.metrics))
-            .0
+        self.segment_time(
+            store,
+            route,
+            edge_index,
+            t,
+            ResidualSource::AnyRoute,
+            Some(&self.metrics),
+        )
+        .0
     }
 
-    /// [`Predictor::predict_segment_or_fallback`] also reporting the
-    /// residual-borrow count, for trace fields.
-    fn predict_segment_or_fallback_counted(
+    /// [`ArrivalPredictor::segment`] on the route's `edge_index`-th
+    /// segment, with the cruise-speed fallback applied.
+    fn segment_time(
         &self,
         store: &TravelTimeStore,
         route: &Route,
         edge_index: usize,
         t: f64,
+        residuals: ResidualSource,
         ledger: Option<&PredictorMetrics>,
     ) -> (f64, u64) {
         let edge = route.edges()[edge_index];
-        let (predicted, k) = self.predict_segment_counted(store, edge, route.id(), t, ledger);
+        let (predicted, k) = self.segment(store, edge, route.id(), t, residuals, ledger);
         match predicted {
             Some(tp) => (tp, k),
             None => {
@@ -329,6 +380,7 @@ impl ArrivalPredictor {
 
     /// Equation 9: predicted *absolute arrival time* at arc length
     /// `stop_s` for a bus of `route` currently at `current_s` at time `t`.
+    /// Rider-facing: moves the predictor ledger.
     ///
     /// Returns `t` when the stop is at or behind the current position.
     /// Slots are re-evaluated as predicted time accumulates.
@@ -343,9 +395,9 @@ impl ArrivalPredictor {
         self.predict_arrival_traced(store, route, current_s, t, stop_s, None)
     }
 
-    /// [`Predictor::predict_arrival`] with an optional trace context: a
-    /// `predict` child span annotated with the number of segments summed
-    /// and the total Equation 8 residual borrows.
+    /// [`ArrivalPredictor::predict_arrival`] with an optional trace
+    /// context: a `predict` child span annotated with the number of
+    /// segments summed and the total Equation 8 residual borrows.
     pub fn predict_arrival_traced(
         &self,
         store: &TravelTimeStore,
@@ -357,99 +409,82 @@ impl ArrivalPredictor {
     ) -> f64 {
         self.metrics.predict_arrival_total.inc();
         let span = trace.map(|tr| tr.child_span("predict"));
-        let mut segments = 0u64;
-        let mut borrows = 0u64;
-        let eta = self.predict_arrival_inner(
+        let walk = self.integrate(
             store,
             route,
             current_s,
             t,
             stop_s,
-            &mut segments,
-            &mut borrows,
+            ResidualSource::AnyRoute,
             Some(&self.metrics),
         );
         if let Some(sp) = &span {
-            sp.field("segments", segments);
-            sp.field("residual_borrows", borrows);
-            sp.field("eta_s", eta);
+            sp.field("segments", walk.segments);
+            sp.field("residual_borrows", walk.borrows);
+            sp.field("eta_s", walk.eta_s);
         }
-        eta
+        walk.eta_s
     }
 
-    /// Equation 9 evaluated *without* touching the shared accounting
-    /// ledger. Background snapshot publication recomputes arrival tables
-    /// after every batch; letting those sweeps increment the predict
-    /// counters would make the rider-facing Eq. 8/9 accounting a function
-    /// of publish cadence instead of the report stream. Query-plane
-    /// traffic is accounted by `QueryMetrics` at the serving layer.
-    pub fn predict_arrival_unledgered(
+    /// [`ArrivalPredictor::predict_arrival`] with the residuals drawn
+    /// from `residuals`, off the ledger. Background snapshot publication
+    /// recomputes arrival tables after every batch; letting those sweeps
+    /// move the predict counters would make the rider-facing Eq. 8/9
+    /// accounting a function of publish cadence instead of the report
+    /// stream. The same-route baseline calls it too.
+    pub fn predict_arrival_with(
         &self,
         store: &TravelTimeStore,
         route: &Route,
         current_s: f64,
         t: f64,
         stop_s: f64,
+        residuals: ResidualSource,
     ) -> f64 {
-        let mut segments = 0u64;
-        let mut borrows = 0u64;
-        self.predict_arrival_inner(
-            store,
-            route,
-            current_s,
-            t,
-            stop_s,
-            &mut segments,
-            &mut borrows,
-            None,
-        )
+        self.integrate(store, route, current_s, t, stop_s, residuals, None)
+            .eta_s
     }
 
+    /// The one Equation 9 walk: from the bus's position to the stop's,
+    /// segment by segment, the fractional remainder of the current
+    /// segment, every full segment between, then the fraction of the
+    /// stop's segment. Each segment's Equation 8 time is evaluated at
+    /// the predicted entry time, so the slot follows the bus ("the
+    /// computation will be separated slot-by-slot").
     #[allow(clippy::too_many_arguments)]
-    fn predict_arrival_inner(
+    fn integrate(
         &self,
         store: &TravelTimeStore,
         route: &Route,
         current_s: f64,
         t: f64,
         stop_s: f64,
-        segments: &mut u64,
-        borrows: &mut u64,
+        residuals: ResidualSource,
         ledger: Option<&PredictorMetrics>,
-    ) -> f64 {
+    ) -> Walk {
+        let mut walk = Walk {
+            eta_s: t,
+            segments: 0,
+            borrows: 0,
+        };
         if stop_s <= current_s {
-            return t;
+            return walk;
         }
         let start = route.position_at(current_s);
         let target = route.position_at(stop_s.min(route.length()));
-        let mut t_cur = t;
-        // Fractional remainder of the current segment.
-        {
-            let i = start.edge_index;
+        for i in start.edge_index..=target.edge_index {
+            let (tp, k) = self.segment_time(store, route, i, walk.eta_s, residuals, ledger);
+            walk.segments += 1;
+            walk.borrows += k;
             let len = route.edge_length(i);
-            let (tp, k) = self.predict_segment_or_fallback_counted(store, route, i, t_cur, ledger);
-            *segments += 1;
-            *borrows += k;
-            if target.edge_index == i {
-                // Stop on the current segment.
-                return t_cur + tp * (target.s_on_edge - start.s_on_edge).max(0.0) / len;
-            }
-            t_cur += tp * (len - start.s_on_edge) / len;
+            walk.eta_s += match (i == start.edge_index, i == target.edge_index) {
+                (true, true) => tp * (target.s_on_edge - start.s_on_edge).max(0.0) / len,
+                (true, false) => tp * (len - start.s_on_edge) / len,
+                (false, true) => tp * target.s_on_edge / len,
+                (false, false) => tp,
+            };
         }
-        // Full intermediate segments, slot-by-slot.
-        for i in start.edge_index + 1..target.edge_index {
-            let (tp, k) = self.predict_segment_or_fallback_counted(store, route, i, t_cur, ledger);
-            *segments += 1;
-            *borrows += k;
-            t_cur += tp;
-        }
-        // Fractional final segment up to the stop.
-        let i = target.edge_index;
-        let len = route.edge_length(i);
-        let (tp, k) = self.predict_segment_or_fallback_counted(store, route, i, t_cur, ledger);
-        *segments += 1;
-        *borrows += k;
-        t_cur + tp * target.s_on_edge / len
+        walk
     }
 }
 

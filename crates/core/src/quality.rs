@@ -13,7 +13,7 @@
 //! # The retro-prediction ledger
 //!
 //! At every snapshot publication, each arrival-table entry whose lead
-//! time has dropped to within a horizon (1/3/5 minutes by default) is
+//! time has dropped to within a horizon (1, 3 or 5 minutes) is
 //! recorded as a *pending* prediction: "at stream time `t` we told
 //! riders bus B reaches stop S at `eta`". When B's own fix stream later
 //! crosses S, the actual crossing time is interpolated from the
@@ -24,7 +24,7 @@
 //! online, from the live stream, with no ground-truth side channel: the
 //! bus itself confirms its arrival.
 //!
-//! The ledger is bounded ([`QualityConfig::max_pending`] per shard,
+//! The ledger is bounded (`MAX_PENDING` entries per shard,
 //! FIFO eviction) and each sketch is a fixed pair of 32-bucket
 //! log-histograms, so quality monitoring adds O(1) memory per
 //! (route, horizon) regardless of uptime.
@@ -67,7 +67,7 @@ use crate::sync::{unpoisoned, Arc, Mutex};
 
 use wilocator_obs::histogram::{bucket_index, bucket_upper, BUCKETS};
 use wilocator_obs::{
-    metric_key, Clock, Collect, Counter, MetricsSnapshot, SeriesKind, SeriesView, TimeSeries,
+    metric_key, Collect, Counter, MetricsSnapshot, SeriesKind, SeriesView, TimeSeries,
     TimeSeriesConfig, TraceCtx, TraceData,
 };
 use wilocator_rf::ApId;
@@ -84,77 +84,57 @@ pub struct QualityConfig {
     /// Master switch. Disabled, every hook is a cheap early return and
     /// the published sections stay empty.
     pub enabled: bool,
-    /// Retro-prediction horizons, seconds, ascending. An arrival-table
-    /// entry is recorded against horizon `h` the first publication its
-    /// lead time is within `horizons_s[h]`.
-    pub horizons_s: [f64; 3],
-    /// Pending-ledger entries per shard; the oldest entry is evicted
-    /// (and counted) when a new issuance would exceed this.
-    pub max_pending: usize,
-    /// Quality window width in *stream* seconds — residual-sketch
-    /// rotation and the time-series ring both rotate on stream time, so
-    /// replays evaluate identically at any wall-clock speed.
-    pub window_s: f64,
-    /// Closed windows retained per series / sketch.
-    pub windows: usize,
-    /// Minimum stream-time gap between evaluation passes. Publication
-    /// can run per batch; re-gathering the registry that often would tax
-    /// the ingest path for no information gain.
-    pub min_sample_gap_s: f64,
-    /// Detector thresholds and window shape.
-    pub slo: SloConfig,
 }
 
 impl Default for QualityConfig {
     fn default() -> Self {
-        QualityConfig {
-            enabled: true,
-            horizons_s: [60.0, 180.0, 300.0],
-            max_pending: 4096,
-            window_s: 60.0,
-            windows: 10,
-            min_sample_gap_s: 1.0,
-            slo: SloConfig::default(),
-        }
+        QualityConfig { enabled: true }
     }
 }
 
-/// Burn-rate SLO thresholds for the drift detectors.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct SloConfig {
+/// Retro-prediction horizons, seconds, ascending. An arrival-table entry
+/// is recorded against horizon `h` the first publication its lead time
+/// is within `HORIZONS_S[h]`.
+const HORIZONS_S: [f64; 3] = [60.0, 180.0, 300.0];
+
+/// Pending-ledger entries per shard; the oldest entry is evicted (and
+/// counted) when a new issuance would exceed this.
+const MAX_PENDING: usize = 4096;
+
+/// Quality window width: 60 *stream* seconds, in the microseconds the
+/// time-series ring counts in. Residual-sketch rotation and the
+/// time-series ring both rotate on stream time, so replays evaluate
+/// identically at any wall-clock speed.
+const WINDOW_US: u64 = 60_000_000;
+
+/// Closed windows retained per series / sketch.
+const WINDOWS: usize = 10;
+
+/// Minimum stream-time gap between evaluation passes, seconds.
+/// Publication can run per batch; re-gathering the registry that often
+/// would tax the ingest path for no information gain.
+const MIN_SAMPLE_GAP_S: f64 = 1.0;
+
+/// Burn-rate SLO thresholds and window shape of the drift detectors.
+mod slo {
     /// Max acceptable dead-reckoned fraction of locate calls.
-    pub dead_reckon_max_ratio: f64,
+    pub const DEAD_RECKON_MAX_RATIO: f64 = 0.25;
     /// Max acceptable tile-miss (non-direct signature resolution)
     /// fraction of locate calls.
-    pub tile_miss_max_ratio: f64,
+    pub const TILE_MISS_MAX_RATIO: f64 = 0.4;
     /// Max acceptable churned fraction of observed APs.
-    pub ap_churn_max_ratio: f64,
+    pub const AP_CHURN_MAX_RATIO: f64 = 0.5;
     /// Max acceptable snapshot staleness, seconds.
-    pub staleness_max_s: f64,
+    pub const STALENESS_MAX_S: f64 = 30.0;
     /// Short burn window, in quality windows (fast detection).
-    pub short_windows: usize,
+    pub const SHORT_WINDOWS: usize = 1;
     /// Long burn window, in quality windows (sustained confirmation).
-    pub long_windows: usize,
+    pub const LONG_WINDOWS: usize = 5;
     /// Minimum denominator events inside a burn window for a ratio
     /// detector to be eligible to fire — a 1-of-2 blip is not drift.
-    pub min_events: u64,
+    pub const MIN_EVENTS: u64 = 20;
     /// Exemplar trace ids attached to a fired detector, at most.
-    pub max_exemplars: usize,
-}
-
-impl Default for SloConfig {
-    fn default() -> Self {
-        SloConfig {
-            dead_reckon_max_ratio: 0.25,
-            tile_miss_max_ratio: 0.4,
-            ap_churn_max_ratio: 0.5,
-            staleness_max_s: 30.0,
-            short_windows: 1,
-            long_windows: 5,
-            min_events: 20,
-            max_exemplars: 3,
-        }
-    }
+    pub const MAX_EXEMPLARS: usize = 3;
 }
 
 // ---------------------------------------------------------------------
@@ -277,14 +257,13 @@ impl ResidualSketch {
 struct HorizonSketches {
     cumulative: ResidualSketch,
     current: ResidualSketch,
-    /// Closed stream-time windows, oldest first, capped at
-    /// [`QualityConfig::windows`].
+    /// Closed stream-time windows, oldest first, capped at `WINDOWS`.
     ring: VecDeque<ResidualSketch>,
 }
 
 impl HorizonSketches {
-    fn rotate(&mut self, capacity: usize) {
-        while self.ring.len() >= capacity.max(1) {
+    fn rotate(&mut self) {
+        while self.ring.len() >= WINDOWS {
             self.ring.pop_front();
         }
         self.ring.push_back(std::mem::take(&mut self.current));
@@ -411,7 +390,9 @@ pub struct QualityMetrics {
     pub eta_issued_total: Counter,
     /// Pending predictions confirmed by an actual arrival.
     pub eta_confirmed_total: Counter,
-    /// Pending predictions evicted unconfirmed (ledger bound).
+    /// Pending predictions dropped unconfirmed: evicted by the ledger
+    /// bound, or dropped with their bus's trip when the bus finished or
+    /// re-registered.
     pub eta_ledger_evicted_total: Counter,
     /// APs that appeared in or vanished from a bus's scan set between
     /// consecutive fixes.
@@ -483,10 +464,10 @@ pub struct HorizonQuality {
     pub recent_p90_abs_s: f64,
 }
 
-/// Live accuracy of one route across the configured horizons.
+/// Live accuracy of one route across the horizons.
 #[derive(Debug, Clone, PartialEq, Default)]
 pub struct RouteQuality {
-    /// One entry per configured horizon, ascending.
+    /// One entry per horizon, ascending.
     pub horizons: Vec<HorizonQuality>,
 }
 
@@ -502,7 +483,7 @@ pub struct DetectorStatus {
     pub short_burn: f64,
     /// Long-window burn rate.
     pub long_burn: f64,
-    /// The configured threshold the burns are normalized by.
+    /// The threshold the burns are normalized by.
     pub threshold: f64,
     /// Denominator events in the short window (eligibility evidence).
     pub short_events: u64,
@@ -557,7 +538,7 @@ struct PlaneState {
     /// Stream-time window index the residual sketches are open on.
     sketch_window: Option<u64>,
     /// Cached sections of the last evaluation, reused while the stream
-    /// has advanced less than [`QualityConfig::min_sample_gap_s`].
+    /// has advanced less than `MIN_SAMPLE_GAP_S`.
     cached: Option<(f64, Arc<QualitySections>)>,
 }
 
@@ -572,17 +553,13 @@ pub struct QualityPlane {
 }
 
 impl QualityPlane {
-    /// A plane for `shards` server shards, rotating its time-series on
-    /// `clock` (evaluation always drives it by stream time; the clock
-    /// only anchors the type).
-    pub fn new(shards: usize, config: QualityConfig, clock: Arc<dyn Clock>) -> Self {
-        let mut series = TimeSeries::new(
-            TimeSeriesConfig {
-                window_us: (config.window_s.max(1e-3) * 1e6) as u64,
-                windows: config.windows.max(1),
-            },
-            clock,
-        );
+    /// A plane for `shards` server shards. Evaluation drives its
+    /// time-series by stream time.
+    pub fn new(shards: usize, config: QualityConfig) -> Self {
+        let mut series = TimeSeries::new(TimeSeriesConfig {
+            window_us: WINDOW_US,
+            windows: WINDOWS,
+        });
         for f in TRACKED_COUNTERS {
             series.track(f, SeriesKind::Counter);
         }
@@ -602,11 +579,6 @@ impl QualityPlane {
                 cached: None,
             }),
         }
-    }
-
-    /// The plane's configuration.
-    pub fn config(&self) -> &QualityConfig {
-        &self.config
     }
 
     /// The quality accounting ledger (for registry registration).
@@ -742,7 +714,7 @@ impl QualityPlane {
                 continue;
             }
             let mut inserted = false;
-            for (h, horizon_s) in self.config.horizons_s.iter().enumerate() {
+            for (h, horizon_s) in HORIZONS_S.iter().enumerate() {
                 if lead > *horizon_s {
                     continue;
                 }
@@ -750,7 +722,7 @@ impl QualityPlane {
                 if q.pending.contains_key(&key) {
                     continue;
                 }
-                while q.pending.len() >= self.config.max_pending.max(1) {
+                while q.pending.len() >= MAX_PENDING {
                     let Some(old) = q.order.pop_front() else {
                         break;
                     };
@@ -776,17 +748,37 @@ impl QualityPlane {
         }
         // Confirmed entries leave their keys behind in `order`; compact
         // before the backlog of dead keys outgrows the ledger itself.
-        if q.order.len() > self.config.max_pending.max(1) * 2 {
+        if q.order.len() > MAX_PENDING * 2 {
             let pending = std::mem::take(&mut q.pending);
             q.order.retain(|k| pending.contains_key(k));
             q.pending = pending;
         }
     }
 
+    /// Drops every pending retro-prediction of `bus`, counting each as
+    /// evicted: the bus's trip ended (finish or re-registration), so no
+    /// fix of that trip will settle them, and a later trip under the
+    /// same key must neither be blocked by them nor settle them. Called
+    /// with the shard write lock held that dropped the bus's state (lock
+    /// order as in [`QualityPlane::on_fix`]).
+    pub(crate) fn forget_bus(&self, shard: usize, bus: BusKey) {
+        let Some(cell) = self.lanes.get(shard) else {
+            return;
+        };
+        let q = &mut *unpoisoned(cell.lock());
+        let lo = (bus, StopId(0), 0u8);
+        let hi = (bus, StopId(u32::MAX), u8::MAX);
+        let stale: Vec<PendingKey> = q.pending.range(lo..=hi).map(|(k, _)| *k).collect();
+        for key in stale {
+            q.pending.remove(&key);
+            self.metrics.eta_ledger_evicted_total.inc();
+        }
+    }
+
     /// Evaluation pass: rotates the stream-time windows, samples the
     /// time-series from `gather`, evaluates the detectors, and returns
     /// the sections to publish. Reuses the previous result while the
-    /// stream has advanced less than the configured sampling gap, so
+    /// stream has advanced less than `MIN_SAMPLE_GAP_S`, so
     /// per-batch publication stays cheap.
     pub(crate) fn sections(
         &self,
@@ -800,7 +792,7 @@ impl QualityPlane {
         }
         let mut state = unpoisoned(self.state.lock());
         if let Some((at, cached)) = &state.cached {
-            if as_of >= *at && as_of - *at < self.config.min_sample_gap_s {
+            if as_of >= *at && as_of - *at < MIN_SAMPLE_GAP_S {
                 return cached.clone();
             }
         }
@@ -808,15 +800,15 @@ impl QualityPlane {
         // Rotate the residual sketches onto the stream-time window grid
         // (never backwards; gaps rotate at most ring-capacity+1 times,
         // matching the series' own clamp).
-        let window = now_us / ((self.config.window_s.max(1e-3) * 1e6) as u64).max(1);
+        let window = now_us / WINDOW_US;
         let open = state.sketch_window.unwrap_or(window);
         if window > open {
-            let turns = (window - open).min(self.config.windows as u64 + 1) as usize;
+            let turns = (window - open).min(WINDOWS as u64 + 1) as usize;
             for cell in &self.lanes {
                 let mut q = unpoisoned(cell.lock());
                 for sketches in q.residuals.values_mut() {
                     for _ in 0..turns {
-                        sketches.rotate(self.config.windows);
+                        sketches.rotate();
                     }
                 }
             }
@@ -845,12 +837,7 @@ impl QualityPlane {
                 let recent = sketches.recent();
                 let cum = &sketches.cumulative;
                 let view = out.entry(*route).or_default();
-                let horizon_s = self
-                    .config
-                    .horizons_s
-                    .get(*h as usize)
-                    .copied()
-                    .unwrap_or(0.0);
+                let horizon_s = HORIZONS_S.get(*h as usize).copied().unwrap_or(0.0);
                 view.horizons.push(HorizonQuality {
                     horizon_s,
                     confirmed_total: cum.count(),
@@ -885,28 +872,27 @@ impl QualityPlane {
             den: &'static [&'static str],
             threshold: f64,
         }
-        let slo = &self.config.slo;
         let specs = [
             Spec {
                 name: "dead_reckon_fraction",
                 anomaly: "dead_reckoned",
                 num: &["svd_fix_dead_reckoned_total"],
                 den: &["svd_locate_total"],
-                threshold: slo.dead_reckon_max_ratio,
+                threshold: slo::DEAD_RECKON_MAX_RATIO,
             },
             Spec {
                 name: "tile_miss_fraction",
                 anomaly: "tile_mapping_miss",
                 num: &["svd_fix_nearest_signature_total", "svd_fix_none_total"],
                 den: &["svd_locate_total"],
-                threshold: slo.tile_miss_max_ratio,
+                threshold: slo::TILE_MISS_MAX_RATIO,
             },
             Spec {
                 name: "ap_churn_fraction",
                 anomaly: "ap_churn",
                 num: &["wilocator_ap_churn_total"],
                 den: &["wilocator_ap_observed_total"],
-                threshold: slo.ap_churn_max_ratio,
+                threshold: slo::AP_CHURN_MAX_RATIO,
             },
         ];
         let sum = |families: &[&str], n: usize| -> u64 {
@@ -926,12 +912,12 @@ impl QualityPlane {
         let mut retained_once = Some(retained);
         let mut exemplar_pool: Option<Vec<TraceData>> = None;
         for spec in specs {
-            let short_den = sum(spec.den, slo.short_windows);
-            let long_den = sum(spec.den, slo.long_windows);
-            let short_burn = burn(sum(spec.num, slo.short_windows), short_den, spec.threshold);
-            let long_burn = burn(sum(spec.num, slo.long_windows), long_den, spec.threshold);
-            let fired = short_den >= slo.min_events
-                && long_den >= slo.min_events
+            let short_den = sum(spec.den, slo::SHORT_WINDOWS);
+            let long_den = sum(spec.den, slo::LONG_WINDOWS);
+            let short_burn = burn(sum(spec.num, slo::SHORT_WINDOWS), short_den, spec.threshold);
+            let long_burn = burn(sum(spec.num, slo::LONG_WINDOWS), long_den, spec.threshold);
+            let fired = short_den >= slo::MIN_EVENTS
+                && long_den >= slo::MIN_EVENTS
                 && short_burn >= 1.0
                 && long_burn >= 1.0;
             let exemplar_trace_ids = if fired {
@@ -948,7 +934,7 @@ impl QualityPlane {
                     .map(|t| t.trace_id)
                     .collect();
                 ids.sort_unstable_by(|a, b| b.cmp(a));
-                ids.truncate(slo.max_exemplars);
+                ids.truncate(slo::MAX_EXEMPLARS);
                 ids
             } else {
                 Vec::new()
@@ -966,17 +952,13 @@ impl QualityPlane {
         }
         // Staleness is a level, not a rate: both burns are the same
         // normalized reading, and no exemplar anomaly maps to it.
-        let staleness_burn = if slo.staleness_max_s > 0.0 {
-            staleness_s / slo.staleness_max_s
-        } else {
-            0.0
-        };
+        let staleness_burn = staleness_s / slo::STALENESS_MAX_S;
         out.push(DetectorStatus {
             name: "snapshot_staleness",
             fired: staleness_burn >= 1.0,
             short_burn: staleness_burn,
             long_burn: staleness_burn,
-            threshold: slo.staleness_max_s,
+            threshold: slo::STALENESS_MAX_S,
             short_events: 0,
             long_events: 0,
             exemplar_trace_ids: Vec::new(),
@@ -996,10 +978,9 @@ impl QualityPlane {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use wilocator_obs::SteppingClock;
 
     fn plane(config: QualityConfig) -> QualityPlane {
-        QualityPlane::new(1, config, Arc::new(SteppingClock::frozen(0)))
+        QualityPlane::new(1, config)
     }
 
     fn fix_at(s: f64, time_s: f64) -> Fix {
@@ -1109,12 +1090,9 @@ mod tests {
 
     #[test]
     fn ledger_eviction_is_fifo_and_counted() {
-        let config = QualityConfig {
-            max_pending: 2,
-            ..QualityConfig::default()
-        };
-        let p = plane(config);
-        for bus in 1..=3u64 {
+        let p = plane(QualityConfig::default());
+        let last = MAX_PENDING as u64 + 1;
+        for bus in 1..=last {
             p.issue(
                 0,
                 RouteId(0),
@@ -1125,9 +1103,36 @@ mod tests {
                 |_, _| {},
             );
         }
-        assert_eq!(p.metrics().eta_issued_total.get(), 3);
+        assert_eq!(p.metrics().eta_issued_total.get(), last);
         assert_eq!(p.metrics().eta_ledger_evicted_total.get(), 1);
-        assert_eq!(p.pending_len(), 2);
+        assert_eq!(p.pending_len(), MAX_PENDING);
+        // The first issued entry is the one that went.
+        let lane = unpoisoned(p.lanes[0].lock());
+        assert!(!lane.pending.contains_key(&(BusKey(1), StopId(0), 2)));
+        assert!(lane.pending.contains_key(&(BusKey(2), StopId(0), 2)));
+        assert!(lane.pending.contains_key(&(BusKey(last), StopId(0), 2)));
+    }
+
+    #[test]
+    fn forgetting_a_bus_drops_only_its_pending_entries() {
+        let p = plane(QualityConfig::default());
+        for (bus, stop) in [(1u64, 0u32), (1, 1), (2, 0)] {
+            p.issue(
+                0,
+                RouteId(0),
+                StopId(stop),
+                100.0,
+                0.0,
+                &[entry(bus, 50.0)], // lead 50 → all three horizons
+                |_, _| {},
+            );
+        }
+        assert_eq!(p.pending_len(), 9);
+        p.forget_bus(0, BusKey(1));
+        assert_eq!(p.pending_len(), 3, "bus 2's entries stay");
+        assert_eq!(p.metrics().eta_ledger_evicted_total.get(), 6);
+        p.forget_bus(0, BusKey(1));
+        assert_eq!(p.metrics().eta_ledger_evicted_total.get(), 6);
     }
 
     #[test]
@@ -1163,11 +1168,7 @@ mod tests {
 
     #[test]
     fn sections_cache_by_stream_gap_and_rotate_windows() {
-        let p = plane(QualityConfig {
-            window_s: 60.0,
-            min_sample_gap_s: 1.0,
-            ..QualityConfig::default()
-        });
+        let p = plane(QualityConfig::default());
         let gather = MetricsSnapshot::new;
         let a = p.sections(10.0, gather, 0.0, Vec::new);
         let b = p.sections(10.5, gather, 0.0, Vec::new);
@@ -1248,10 +1249,7 @@ mod tests {
 
     #[test]
     fn disabled_plane_is_inert() {
-        let p = plane(QualityConfig {
-            enabled: false,
-            ..QualityConfig::default()
-        });
+        let p = plane(QualityConfig { enabled: false });
         p.issue(
             0,
             RouteId(0),

@@ -37,10 +37,10 @@ use wilocator_svd::{
 
 use crate::history::{TravelTimeStore, Traversal};
 use crate::metrics::{QueryMetrics, ServerMetrics, ShardMetrics};
-use crate::predict::{ArrivalPredictor, PredictorConfig};
+use crate::predict::{ArrivalPredictor, PredictorConfig, ResidualSource};
 use crate::quality::{BusQuality, QualityConfig, QualityPlane};
 use crate::report::{BusKey, RouteIdentifier, ScanReport};
-use crate::snapshot::{ArrivalEntry, BusView, QueryPlaneConfig, QuerySnapshot, SnapshotCell};
+use crate::snapshot::{ArrivalEntry, BusView, QuerySnapshot, SnapshotCell};
 use crate::tracker::{crossing_time, BusTracker, IngestOutcome};
 use crate::traffic_map::{SegmentState, TrafficMapConfig, TrafficMapGenerator};
 
@@ -89,8 +89,6 @@ pub struct WiLocatorConfig {
     pub commit_margin_m: f64,
     /// Tracing / flight-recorder parameters.
     pub trace: TraceConfig,
-    /// Query-plane (epoch-published snapshot) parameters.
-    pub query: QueryPlaneConfig,
     /// Quality-plane (retro-prediction ledger, drift detectors)
     /// parameters.
     pub quality: QualityConfig,
@@ -106,7 +104,6 @@ impl Default for WiLocatorConfig {
             sample_step_m: 2.0,
             commit_margin_m: 30.0,
             trace: TraceConfig::default(),
-            query: QueryPlaneConfig::default(),
             quality: QualityConfig::default(),
         }
     }
@@ -180,6 +177,51 @@ struct Shard {
     quality_scratch: Vec<wilocator_rf::ApId>,
 }
 
+impl Shard {
+    /// The arrival table of one stop at `stop_s` on `route`: every bus of
+    /// the route whose latest fix is short of the stop, with its
+    /// Equation 9 arrival time, soonest first. Arrival-time ties (buses
+    /// at the same fix) order by bus key, so the table replays
+    /// identically across processes. A `ledgered` table is a rider
+    /// answer and moves the predictor's counters; publication builds
+    /// its tables off the ledger.
+    fn arrival_table(&self, route: &Route, stop_s: f64, ledgered: bool) -> Vec<ArrivalEntry> {
+        let mut entries: Vec<ArrivalEntry> = self
+            .buses
+            // lint: allow(unordered_iter) — collected, then sorted by (arrival time, bus key) before returning
+            .iter()
+            .filter(|(_, state)| state.route == route.id())
+            .filter_map(|(&bus, state)| {
+                let fix = state.tracker.trajectory().last()?;
+                (fix.s < stop_s).then(|| ArrivalEntry {
+                    bus,
+                    eta_s: if ledgered {
+                        self.predictor.predict_arrival(
+                            &self.store,
+                            route,
+                            fix.s,
+                            fix.time_s,
+                            stop_s,
+                        )
+                    } else {
+                        self.predictor.predict_arrival_with(
+                            &self.store,
+                            route,
+                            fix.s,
+                            fix.time_s,
+                            stop_s,
+                            ResidualSource::AnyRoute,
+                        )
+                    },
+                    from_fix_time_s: fix.time_s,
+                })
+            })
+            .collect();
+        entries.sort_by(|a, b| a.eta_s.total_cmp(&b.eta_s).then_with(|| a.bus.cmp(&b.bus)));
+        entries
+    }
+}
+
 /// Groups routes into connected components over shared segments.
 /// Returns `(shard index per route position, shard count)`.
 fn shard_partition(routes: &[Route]) -> (Vec<usize>, usize) {
@@ -220,6 +262,11 @@ fn shard_partition(routes: &[Route]) -> (Vec<usize>, usize) {
     let count = shard_of_root.len();
     (shards, count)
 }
+
+/// Ring slots in the query [`SnapshotCell`]. More slots give stalled
+/// readers more publish cycles of grace before a writer can block on
+/// them; 2 is the functional minimum.
+const SNAPSHOT_SLOTS: usize = 4;
 
 /// Detail-sampling key for a report's trace: derived from content (bus
 /// and report time), never from wall time or arrival order, so replays
@@ -361,7 +408,7 @@ impl WiLocator {
         );
         let tracer = Arc::new(Tracer::new(config.trace, count.max(1), clock));
         registry.register("", tracer.clone() as Arc<dyn wilocator_obs::Collect>);
-        let quality = QualityPlane::new(count.max(1), config.quality, query_clock.clone());
+        let quality = QualityPlane::new(count.max(1), config.quality);
         registry.register(
             "",
             quality.metrics().clone() as Arc<dyn wilocator_obs::Collect>,
@@ -379,7 +426,7 @@ impl WiLocator {
             shard_metrics,
             server_metrics,
             tracer,
-            snapshot: SnapshotCell::new(config.query.slots),
+            snapshot: SnapshotCell::new(SNAPSHOT_SLOTS),
             query_metrics,
             quality,
             registry,
@@ -427,13 +474,13 @@ impl WiLocator {
             .ok_or(CoreError::UnknownRoute(route))?;
         let shard_idx = self.shard_for_route(route)?;
         let mut dir = unpoisoned(self.bus_dir.write());
-        // Re-registration moves the bus: clear any previous tracker first
-        // (one shard lock at a time, directory lock held throughout).
+        // Re-registration starts a new trip: drop the previous tracker
+        // and its pending ETAs first (one shard lock at a time, directory
+        // lock held throughout).
         let previous = dir.insert(bus, shard_idx);
         if let Some(old) = previous {
-            if old != shard_idx {
-                unpoisoned(self.shards[old].write()).buses.remove(&bus);
-            }
+            let mut shard = unpoisoned(self.shards[old].write());
+            self.drop_bus(&mut shard, old, bus);
         }
         self.server_metrics.buses_registered_total.inc();
         if previous.is_none() {
@@ -647,10 +694,22 @@ impl WiLocator {
         let metrics = &self.shard_metrics[shard_idx];
         let mut shard = unpoisoned(self.shards[shard_idx].write());
         let _hold = metrics.lock_hold_us.time_with(self.tracer.clock());
-        let mut state = shard.buses.remove(&bus).ok_or(CoreError::UnknownBus(bus))?;
+        let mut state = self
+            .drop_bus(&mut shard, shard_idx, bus)
+            .ok_or(CoreError::UnknownBus(bus))?;
         let committed = state.drain_cleared(&mut shard.store, f64::NEG_INFINITY);
         metrics.traversals_committed_total.add(committed);
         Ok(())
+    }
+
+    /// Removes `bus`'s state from `shard` (index `shard_idx`, write lock
+    /// held) together with its pending retro-predictions: no fix of the
+    /// ended trip will settle them, and the next trip under the same key
+    /// must neither be blocked by them nor settle them.
+    fn drop_bus(&self, shard: &mut Shard, shard_idx: usize, bus: BusKey) -> Option<BusState> {
+        let state = shard.buses.remove(&bus)?;
+        self.quality.forget_bus(shard_idx, bus);
+        Some(state)
     }
 
     /// The latest position fix of a bus.
@@ -678,9 +737,7 @@ impl WiLocator {
             let shard = &mut *unpoisoned(lock.write());
             shard.predictor.train(&shard.store, as_of);
         }
-        if self.config.query.publish_on_ingest {
-            self.publish_snapshot(as_of);
-        }
+        self.publish_snapshot(as_of);
     }
 
     /// Predicts the absolute arrival time of `bus` at stop `stop` of its
@@ -752,31 +809,11 @@ impl WiLocator {
         let stop = r.stop(stop).ok_or(CoreError::UnknownStop(stop))?;
         let shard_idx = self.shard_for_route(route)?;
         let shard = unpoisoned(self.shards[shard_idx].read());
-        let mut out: Vec<(BusKey, f64)> = shard
-            .buses
-            // lint: allow(unordered_iter) — collected, then sorted by (arrival time, bus key) before returning
-            .iter()
-            .filter(|(_, b)| b.route == route)
-            .filter_map(|(&key, b)| {
-                let fix = b.tracker.trajectory().last()?;
-                (fix.s < stop.s()).then(|| {
-                    (
-                        key,
-                        shard.predictor.predict_arrival(
-                            &shard.store,
-                            r,
-                            fix.s,
-                            fix.time_s,
-                            stop.s(),
-                        ),
-                    )
-                })
-            })
-            .collect();
-        // Arrival-time ties (buses at the same fix) order by bus key, so
-        // the rider-facing list replays identically across processes.
-        out.sort_by(|a, b| a.1.total_cmp(&b.1).then_with(|| a.0.cmp(&b.0)));
-        Ok(out)
+        Ok(shard
+            .arrival_table(r, stop.s(), true)
+            .into_iter()
+            .map(|entry| (entry.bus, entry.eta_s))
+            .collect())
     }
 
     /// The live traffic map of a route at time `t`.
@@ -798,9 +835,6 @@ impl WiLocator {
     /// publisher itself clamps the stamp monotone across racing lanes).
     /// The tracker drops non-finite stamps, so they never move the stamp.
     fn publish_after_batch(&self, reports: &[ScanReport]) {
-        if !self.config.query.publish_on_ingest {
-            return;
-        }
         let mut as_of = f64::NEG_INFINITY;
         for report in reports.iter().filter(|r| r.time_s.is_finite()) {
             as_of = as_of.max(report.time_s);
@@ -855,11 +889,6 @@ impl WiLocator {
         &self.query_metrics
     }
 
-    /// The query-plane configuration this server was built with.
-    pub fn query_config(&self) -> QueryPlaneConfig {
-        self.config.query
-    }
-
     /// Maintenance hook: runs `f` while holding `shard`'s *write* lock,
     /// returning `None` for an out-of-range shard index. Exists so tests
     /// can prove the read path's independence from ingest: queries issued
@@ -894,26 +923,7 @@ impl WiLocator {
                     continue;
                 }
                 for stop in route.stops() {
-                    let mut entries: Vec<ArrivalEntry> = snap
-                        .buses
-                        // lint: allow(unordered_iter) — snapshot buses are a BTreeMap, and the entries are sorted below regardless
-                        .iter()
-                        .filter(|(_, view)| view.route == route.id() && view.fix.s < stop.s())
-                        .map(|(&bus, view)| ArrivalEntry {
-                            bus,
-                            eta_s: shard.predictor.predict_arrival_unledgered(
-                                &shard.store,
-                                route,
-                                view.fix.s,
-                                view.fix.time_s,
-                                stop.s(),
-                            ),
-                            from_fix_time_s: view.fix.time_s,
-                        })
-                        .collect();
-                    entries.sort_by(|a, b| {
-                        a.eta_s.total_cmp(&b.eta_s).then_with(|| a.bus.cmp(&b.bus))
-                    });
+                    let entries = shard.arrival_table(route, stop.s(), false);
                     // Record the published ETAs whose lead time entered a
                     // horizon into the retro-prediction ledger (quality
                     // mutex nests inside this shard read lock), pulling
@@ -1024,6 +1034,12 @@ mod tests {
     use wilocator_road::NetworkBuilder;
 
     pub(crate) fn setup() -> (WiLocator, HomogeneousField) {
+        setup_with_stops(3)
+    }
+
+    /// An 800 m street of two segments carrying route 0 with `stops`
+    /// evenly spaced stops, APs every 80 m.
+    fn setup_with_stops(stops: usize) -> (WiLocator, HomogeneousField) {
         let mut b = NetworkBuilder::new();
         let n0 = b.add_node(Point::new(0.0, 0.0));
         let n1 = b.add_node(Point::new(400.0, 0.0));
@@ -1032,7 +1048,7 @@ mod tests {
         let e1 = b.add_edge(n1, n2, None).unwrap();
         let net = b.build();
         let mut route = Route::new(RouteId(0), "9", vec![e0, e1], &net).unwrap();
-        route.add_stops_evenly(3);
+        route.add_stops_evenly(stops);
         let mut aps = Vec::new();
         let mut x = 40.0;
         let mut i = 0u32;
@@ -1695,6 +1711,137 @@ mod tests {
             .expect("predict child span");
         assert!(child.field("segments").is_some());
         assert!(child.field("eta_s").is_some());
+    }
+
+    /// Runs bus `bus` at 8 m/s from 0 to `end_s` starting at `t0`, one
+    /// report per `ingest_batch` every 10 s, so every batch publishes.
+    fn run_batched(server: &WiLocator, field: &HomogeneousField, bus: u64, t0: f64, end_s: f64) {
+        let route = server.routes()[0].clone();
+        server.register_bus(BusKey(bus), RouteId(0)).unwrap();
+        for k in 0..=(end_s / 80.0) as usize {
+            let t = t0 + k as f64 * 10.0;
+            let batch = [report(field, &route, k as f64 * 80.0, t, bus)];
+            assert!(server.ingest_batch(&batch)[0].is_ok());
+        }
+    }
+
+    #[test]
+    fn a_finished_trip_leaves_no_pending_etas_behind() {
+        let (server, field) = setup_with_stops(5);
+        let evicted = |s: &WiLocator| {
+            s.metrics()
+                .counter_family_total("wilocator_eta_ledger_evicted_total")
+        };
+        // Trip 1 stops at 320 m with ETAs for the stops ahead pending.
+        run_batched(&server, &field, 1, 0.0, 320.0);
+        let pending = server.quality.pending_len();
+        assert!(pending > 0, "trip 1 left ETAs pending");
+        server.finish_bus(BusKey(1)).unwrap();
+        assert_eq!(server.quality.pending_len(), 0, "finish drops them");
+        assert_eq!(evicted(&server), pending as u64, "and counts them");
+        // Trip 2 under the same key: its own predictions are issued and
+        // settled, none of trip 1's.
+        run_batched(&server, &field, 1, 5_000.0, 800.0);
+        let quality = server.query_snapshot().quality.clone();
+        let horizons = &quality.routes[&RouteId(0)].horizons;
+        assert_eq!(horizons.len(), 3);
+        for h in horizons {
+            assert!(h.confirmed_total > 0, "{h:?}");
+            assert!(h.mean_abs_error_s < 60.0, "{h:?}");
+        }
+        // Re-registration mid-trip drops the pending ETAs the same way.
+        server.finish_bus(BusKey(1)).unwrap();
+        let route = server.routes()[0].clone();
+        server.register_bus(BusKey(2), RouteId(0)).unwrap();
+        server.ingest_batch(&[report(&field, &route, 0.0, 9_000.0, 2)]);
+        let pending = server.quality.pending_len();
+        assert!(pending > 0);
+        let before = evicted(&server);
+        server.register_bus(BusKey(2), RouteId(0)).unwrap();
+        assert_eq!(server.quality.pending_len(), 0);
+        assert_eq!(evicted(&server) - before, pending as u64);
+    }
+
+    #[test]
+    fn published_arrival_tables_equal_arrivals_at_and_leave_the_ledger_alone() {
+        let (server, field) = setup_two_streets();
+        let routes = server.routes().to_vec();
+        // History on both streets, then a trained predictor.
+        for (bus, route) in [(10u64, 0usize), (11, 1), (12, 2), (13, 0), (14, 1)] {
+            server
+                .register_bus(BusKey(bus), routes[route].id())
+                .unwrap();
+            for k in 0..=10 {
+                let t = bus as f64 * 300.0 + k as f64 * 10.0;
+                let s = (k as f64 * 80.0).min(routes[route].length());
+                server
+                    .ingest(&report(&field, &routes[route], s, t, bus))
+                    .unwrap();
+            }
+            server.finish_bus(BusKey(bus)).unwrap();
+        }
+        server.train(10_000.0);
+        // Several buses of every route on the road, some sharing a stop.
+        for (bus, route, s) in [
+            (1u64, 0usize, 100.0),
+            (2, 0, 500.0),
+            (3, 1, 250.0),
+            (4, 2, 60.0),
+            (5, 2, 700.0),
+        ] {
+            server
+                .register_bus(BusKey(bus), routes[route].id())
+                .unwrap();
+            for (k, ds) in [-40.0f64, 0.0].into_iter().enumerate() {
+                let t = 10_000.0 + k as f64 * 10.0;
+                let at = (s + ds).max(0.0);
+                server
+                    .ingest(&report(&field, &routes[route], at, t, bus))
+                    .unwrap();
+            }
+        }
+        let counters = |s: &WiLocator| {
+            let m = s.metrics();
+            [
+                m.counter_family_total("predict_arrival_total"),
+                m.counter_family_total("predict_segment_total"),
+            ]
+        };
+        let before = counters(&server);
+        server.publish_snapshot(10_010.0);
+        assert_eq!(counters(&server), before, "publication is off the ledger");
+        let snap = server.query_snapshot();
+        let mut entries = 0;
+        for route in &routes {
+            for stop in route.stops() {
+                let published: Vec<(BusKey, u64)> = snap.arrivals[&(route.id(), stop.id())]
+                    .iter()
+                    .map(|e| (e.bus, e.eta_s.to_bits()))
+                    .collect();
+                let answered: Vec<(BusKey, u64)> = server
+                    .arrivals_at(route.id(), stop.id())
+                    .unwrap()
+                    .into_iter()
+                    .map(|(bus, eta_s)| (bus, eta_s.to_bits()))
+                    .collect();
+                assert_eq!(
+                    published,
+                    answered,
+                    "route {} stop {}",
+                    route.id(),
+                    stop.id()
+                );
+                entries += published.len();
+            }
+        }
+        assert!(entries >= 8, "{entries} table entries");
+        let after = counters(&server);
+        assert_eq!(
+            after[0] - before[0],
+            entries as u64,
+            "one Eq. 9 walk per rider entry"
+        );
+        assert!(after[1] - before[1] >= entries as u64);
     }
 
     #[test]

@@ -55,38 +55,6 @@ use crate::quality::QualitySections;
 use crate::report::BusKey;
 use crate::traffic_map::SegmentState;
 
-/// Query-plane configuration.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct QueryPlaneConfig {
-    /// Publish a fresh snapshot automatically after every
-    /// [`crate::WiLocator::ingest_batch`] and [`crate::WiLocator::train`].
-    /// Disable to drive publication manually (tests pause the publisher
-    /// this way to probe staleness behaviour).
-    pub publish_on_ingest: bool,
-    /// Ring slots in the [`SnapshotCell`]. More slots give stalled
-    /// readers more publish cycles of grace before a writer can block on
-    /// them; 2 is the functional minimum.
-    pub slots: usize,
-    /// Trace one query in `trace_every` through the flight recorder
-    /// (key-derived, so sampling is deterministic per target); 0 turns
-    /// query tracing off. Rider traffic outnumbers ingest by orders of
-    /// magnitude, and every published trace crosses a per-ring mutex —
-    /// tracing each query would serialise the read path the snapshot
-    /// layer exists to keep lock-free. Set to 1 to trace every query
-    /// (tests do).
-    pub trace_every: u32,
-}
-
-impl Default for QueryPlaneConfig {
-    fn default() -> Self {
-        QueryPlaneConfig {
-            publish_on_ingest: true,
-            slots: 4,
-            trace_every: 16,
-        }
-    }
-}
-
 /// One bus's published position: the route it serves and its latest fix.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct BusView {

@@ -67,8 +67,6 @@ impl IngestOutcome {
 pub struct BusTracker {
     filter: TrackingFilter,
     trajectory: TrackedTrajectory,
-    /// Minimum scans that must hear an AP for it to enter the rank list.
-    min_observations: usize,
 }
 
 impl BusTracker {
@@ -77,7 +75,6 @@ impl BusTracker {
         BusTracker {
             filter: TrackingFilter::new(positioner),
             trajectory: TrackedTrajectory::default(),
-            min_observations: 1,
         }
     }
 
@@ -128,7 +125,8 @@ impl BusTracker {
             }
         }
         let span = trace.map(|t| t.child_span("track"));
-        let ranked = report.positioning_ranks(self.min_observations);
+        // Every AP heard by at least one scan enters the rank list.
+        let ranked = report.positioning_ranks(1);
         if let Some(sp) = &span {
             sp.field("ranked_aps", ranked.len());
         }

@@ -495,15 +495,6 @@ pub fn render_dashboard(dash: &Dashboard) -> String {
     out
 }
 
-/// Parses and renders in one step — the CLI's file mode.
-///
-/// # Errors
-///
-/// Propagates [`parse_dump`] errors.
-pub fn render_text(text: &str) -> Result<String, String> {
-    Ok(render_dashboard(&parse_dump(text)?))
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;

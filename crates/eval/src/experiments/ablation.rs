@@ -514,13 +514,6 @@ pub fn render_hybrid(result: (f64, f64, f64)) -> String {
     )
 }
 
-/// Relative dispersion of a sweep (σ/μ of the y-values) — a quick
-/// flatness statistic for sweep results.
-pub fn sweep_spread(sweep: &Sweep) -> f64 {
-    let ys: Vec<f64> = sweep.points.iter().map(|&(_, y)| y).collect();
-    crate::metrics::std_dev(&ys) / mean(&ys).max(1e-9)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;

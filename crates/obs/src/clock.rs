@@ -81,11 +81,6 @@ impl SteppingClock {
             step_us,
         }
     }
-
-    /// A frozen clock: every reading returns `at_us`.
-    pub fn frozen(at_us: u64) -> Self {
-        Self::new(at_us, 0)
-    }
 }
 
 impl Clock for SteppingClock {
@@ -108,7 +103,7 @@ mod tests {
 
     #[test]
     fn frozen_clock_never_moves() {
-        let c = SteppingClock::frozen(42);
+        let c = SteppingClock::new(42, 0);
         assert_eq!(c.now_us(), 42);
         assert_eq!(c.now_us(), 42);
     }

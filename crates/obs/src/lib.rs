@@ -20,7 +20,7 @@
 //! * [`TimeSeries`] — fixed-memory ring of windowed aggregates
 //!   (counter deltas/rates, gauge values, histogram quantiles) sampled
 //!   from [`MetricsSnapshot`]s, rotated deterministically on the
-//!   injected [`Clock`];
+//!   caller's sample stamps;
 //! * [`trace`] — causal span tracing with a tail-sampled flight
 //!   recorder ([`Tracer`] / [`TraceCtx`] / [`SpanGuard`]), Chrome
 //!   trace-event export and a deterministic text dump.

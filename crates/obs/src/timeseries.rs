@@ -1,6 +1,6 @@
 //! Windowed time-series over the metric ledgers: fixed-memory rings of
-//! per-window aggregates, rotated deterministically on the injectable
-//! [`Clock`].
+//! per-window aggregates, rotated deterministically on the stamps the
+//! caller samples at.
 //!
 //! The scrape model ([`crate::MetricsSnapshot`]) answers "how much has
 //! ever happened"; dashboards and drift detectors need "how much
@@ -35,16 +35,14 @@
 //! pin exactly this.
 
 use std::collections::{BTreeMap, VecDeque};
-use std::sync::Arc;
 
-use crate::clock::Clock;
 use crate::histogram::HistogramSnapshot;
 use crate::snapshot::MetricsSnapshot;
 
 /// Ring geometry: window width and how many closed windows are kept.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct TimeSeriesConfig {
-    /// Window width in microseconds of the driving clock.
+    /// Window width in microseconds of the sample stamps.
     pub window_us: u64,
     /// Closed windows retained per family (the open window rides on
     /// top). Clamped to at least 1.
@@ -113,7 +111,7 @@ pub enum WindowAgg {
 /// One window of one family: start stamp plus the aggregate.
 #[derive(Debug, Clone, PartialEq)]
 pub struct WindowPoint {
-    /// Window start on the driving clock, microseconds.
+    /// Window start on the sample stamps' timeline, microseconds.
     pub start_us: u64,
     /// The aggregate.
     pub agg: WindowAgg,
@@ -255,7 +253,6 @@ fn histogram_family_merged(snapshot: &MetricsSnapshot, family: &str) -> Histogra
 #[derive(Debug)]
 pub struct TimeSeries {
     config: TimeSeriesConfig,
-    clock: Arc<dyn Clock>,
     /// Index (`start_us / window_us`) of the open window; `None` until
     /// the first sample anchors the ring.
     open_window: Option<u64>,
@@ -263,14 +260,13 @@ pub struct TimeSeries {
 }
 
 impl TimeSeries {
-    /// An empty ring rotating on `clock`.
-    pub fn new(config: TimeSeriesConfig, clock: Arc<dyn Clock>) -> Self {
+    /// An empty ring.
+    pub fn new(config: TimeSeriesConfig) -> Self {
         TimeSeries {
             config: TimeSeriesConfig {
                 window_us: config.window_us.max(1),
                 windows: config.windows.max(1),
             },
-            clock,
             open_window: None,
             series: BTreeMap::new(),
         }
@@ -289,17 +285,10 @@ impl TimeSeries {
             .or_insert_with(|| SeriesState::new(kind));
     }
 
-    /// Samples every tracked family from `snapshot` at the clock's
-    /// current reading.
-    pub fn sample(&mut self, snapshot: &MetricsSnapshot) {
-        let now_us = self.clock.now_us();
-        self.sample_at(now_us, snapshot);
-    }
-
-    /// [`TimeSeries::sample`] at an explicit stamp — the deterministic
-    /// entry point (the server passes stream time; tests pass literals).
-    /// A stamp earlier than the open window is clamped into it, so a
-    /// skewed clock can never rotate the ring backwards.
+    /// Samples every tracked family from `snapshot` at stamp `now_us`
+    /// (the server passes stream time; tests pass literals). A stamp
+    /// earlier than the open window is clamped into it, so a skewed
+    /// stamp can never rotate the ring backwards.
     pub fn sample_at(&mut self, now_us: u64, snapshot: &MetricsSnapshot) {
         let window = now_us / self.config.window_us;
         let open = match self.open_window {
@@ -449,14 +438,10 @@ fn histogram_agg(delta: &HistogramSnapshot) -> WindowAgg {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::clock::SteppingClock;
     use crate::histogram::Histogram;
 
     fn series(window_us: u64, windows: usize) -> TimeSeries {
-        TimeSeries::new(
-            TimeSeriesConfig { window_us, windows },
-            Arc::new(SteppingClock::frozen(0)),
-        )
+        TimeSeries::new(TimeSeriesConfig { window_us, windows })
     }
 
     fn counter_snapshot(v: u64) -> MetricsSnapshot {
@@ -566,22 +551,6 @@ mod tests {
             }
             other => panic!("want histogram agg, got {other:?}"),
         }
-    }
-
-    #[test]
-    fn clock_drives_rotation() {
-        let clock = Arc::new(SteppingClock::new(0, 100));
-        let mut ts = TimeSeries::new(
-            TimeSeriesConfig {
-                window_us: 100,
-                windows: 4,
-            },
-            clock,
-        );
-        ts.track("hits_total", SeriesKind::Counter);
-        ts.sample(&counter_snapshot(1)); // t=0
-        ts.sample(&counter_snapshot(2)); // t=100 → rotation
-        assert_eq!(ts.view()[0].points.len(), 2);
     }
 
     #[test]

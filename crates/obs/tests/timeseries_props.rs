@@ -3,20 +3,13 @@
 //! monotonicity, and quantile sanity — the invariants the quality
 //! plane's detectors lean on.
 
-use std::sync::Arc;
-
 use proptest::prelude::*;
-use wilocator_obs::{
-    MetricsSnapshot, SeriesKind, SteppingClock, TimeSeries, TimeSeriesConfig, WindowAgg,
-};
+use wilocator_obs::{MetricsSnapshot, SeriesKind, TimeSeries, TimeSeriesConfig, WindowAgg};
 
 const FAMILY: &str = "wilocator_props_total";
 
 fn series(window_us: u64, windows: usize) -> TimeSeries {
-    let mut ts = TimeSeries::new(
-        TimeSeriesConfig { window_us, windows },
-        Arc::new(SteppingClock::frozen(0)),
-    );
+    let mut ts = TimeSeries::new(TimeSeriesConfig { window_us, windows });
     ts.track(FAMILY, SeriesKind::Counter);
     ts
 }
@@ -134,10 +127,7 @@ proptest! {
     fn histogram_quantiles_are_monotone(
         values in proptest::collection::vec(0u64..1_000_000, 1..50),
     ) {
-        let mut ts = TimeSeries::new(
-            TimeSeriesConfig { window_us: 1_000_000, windows: 4 },
-            Arc::new(SteppingClock::frozen(0)),
-        );
+        let mut ts = TimeSeries::new(TimeSeriesConfig { window_us: 1_000_000, windows: 4 });
         ts.track("wilocator_props_us", SeriesKind::Histogram);
         let hist = wilocator_obs::Histogram::new();
         for &v in &values {

@@ -96,18 +96,6 @@ impl HomogeneousField {
         }
     }
 
-    /// Overrides the propagation model (builder style).
-    pub fn with_model(mut self, model: LogDistance) -> Self {
-        self.model = model;
-        self
-    }
-
-    /// Overrides the assumed common transmit power (builder style).
-    pub fn with_assumed_tx_dbm(mut self, dbm: f64) -> Self {
-        self.assumed_tx_dbm = dbm;
-        self
-    }
-
     /// Returns a copy of this field without the given APs — the paper's AP
     /// dynamics scenario ("suppose that the AP b is out of function").
     pub fn without_aps(&self, dead: &[ApId]) -> HomogeneousField {

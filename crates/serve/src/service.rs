@@ -58,6 +58,10 @@ impl Response {
     }
 }
 
+/// One query in this many is traced through the flight recorder, keyed
+/// by target so sampling is deterministic per target.
+const QUERY_TRACE_EVERY: u64 = 16;
+
 /// Routes one request against the server's published snapshot.
 ///
 /// Never takes a shard ingest lock: data endpoints read the epoch cell
@@ -67,15 +71,13 @@ impl Response {
 pub fn respond(server: &WiLocator, request: &crate::http::Request) -> Response {
     let metrics = server.query_metrics();
     let t0 = metrics.clock().now_us();
-    // Query tracing is sampled (`QueryPlaneConfig::trace_every`) and the
-    // sampled spans are spread across the recorder's rings by key:
-    // rider traffic is orders of magnitude denser than ingest, and
-    // pushing every query trace through one ring mutex would serialise
-    // the otherwise lock-free read path (the query_scaling bench
-    // flatlined exactly that way before sampling).
+    // Query tracing is sampled and the sampled spans are spread across
+    // the recorder's rings by key: rider traffic is orders of magnitude
+    // denser than ingest, and pushing every query trace through one
+    // ring mutex would serialise the otherwise lock-free read path (the
+    // query_scaling bench flatlined exactly that way before sampling).
     let key = target_key(&request.target);
-    let trace_every = u64::from(server.query_config().trace_every);
-    let ctx = if trace_every > 0 && key.is_multiple_of(trace_every) {
+    let ctx = if key.is_multiple_of(QUERY_TRACE_EVERY) {
         let shard = (key % server.shard_count().max(1) as u64) as usize;
         // Span stamps come from the tracer's own clock, which in replays
         // is the deterministic span clock — never mix it with the query

@@ -82,7 +82,7 @@ pub use metrics::{PositioningMetrics, TileMapperMetrics};
 pub use positioning::{
     Fix, FixMethod, LocateScratch, PositionerConfig, Prior, RoutePositioner, TrackingFilter,
 };
-pub use rank::{average_ranks, to_ranked, to_ranked_rss, AveragedRank};
+pub use rank::{average_ranks, to_ranked_rss, AveragedRank};
 pub use reference::{ReferencePositioner, ReferenceRouteIndex};
 pub use route_index::{RouteTileIndex, SubSegment};
 pub use signature::{rank_distance_codes, signature_from_ranked, TileSignature};

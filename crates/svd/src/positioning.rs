@@ -164,8 +164,8 @@ impl LocateScratch {
 
 thread_local! {
     /// Per-thread scratch backing the allocation-free convenience entry
-    /// points ([`RoutePositioner::locate`] / `locate_traced`); callers
-    /// that want explicit control use [`RoutePositioner::locate_with`].
+    /// point ([`RoutePositioner::locate`]); callers that want explicit
+    /// control use [`RoutePositioner::locate_with`].
     static LOCATE_SCRATCH: std::cell::RefCell<LocateScratch> =
         std::cell::RefCell::new(LocateScratch::new());
 }
@@ -273,25 +273,11 @@ impl RoutePositioner {
         LOCATE_SCRATCH.with(|s| self.locate_with(&mut s.borrow_mut(), ranked, time_s, prior, None))
     }
 
-    /// [`RoutePositioner::locate`] with an optional trace context: opens a
-    /// `locate` child span annotated with the fix method and position.
-    pub fn locate_traced(
-        &self,
-        ranked: &[(ApId, i32)],
-        time_s: f64,
-        prior: Option<Prior>,
-        trace: Option<&TraceCtx<'_>>,
-    ) -> Option<Fix> {
-        if trace.is_none() {
-            return self.locate(ranked, time_s, prior);
-        }
-        LOCATE_SCRATCH.with(|s| self.locate_with(&mut s.borrow_mut(), ranked, time_s, prior, trace))
-    }
-
-    /// The allocation-free form of [`RoutePositioner::locate_traced`]:
-    /// per-call heap buffers live in the caller-owned `scratch`, so a
-    /// tracking loop reusing one scratch performs no allocation in steady
-    /// state. Tracing and metrics behave exactly like `locate_traced`.
+    /// The allocation-free form of [`RoutePositioner::locate`], with an
+    /// optional trace context (a `locate` child span annotated with the
+    /// fix method and position): per-call heap buffers live in the
+    /// caller-owned `scratch`, so a tracking loop reusing one scratch
+    /// performs no allocation in steady state.
     pub fn locate_with(
         &self,
         scratch: &mut LocateScratch,

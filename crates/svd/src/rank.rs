@@ -75,12 +75,6 @@ pub fn average_ranks(scans: &[Scan], min_observations: usize) -> Vec<AveragedRan
     out
 }
 
-/// Converts averaged ranks to the `(ApId, value)` list form the signature
-/// builder accepts (strongest first).
-pub fn to_ranked(avg: &[AveragedRank]) -> Vec<(ApId, f64)> {
-    avg.iter().map(|a| (a.ap, -a.mean_rank)).collect()
-}
-
 /// Converts averaged ranks to the integer-dBm ranked list the positioner
 /// consumes: order comes from the averaged ranks (strongest first), values
 /// are the rounded mean RSS so the positioner's tie-margin test sees real
@@ -153,16 +147,6 @@ mod tests {
     fn mean_rss_computed() {
         let avg = average_ranks(&[scan(&[(0, -50)]), scan(&[(0, -60)])], 1);
         assert_eq!(avg[0].mean_rss_dbm, -55.0);
-    }
-
-    #[test]
-    fn to_ranked_descends_in_value() {
-        let avg = average_ranks(&[scan(&[(3, -50), (1, -60), (2, -70)])], 1);
-        let ranked = to_ranked(&avg);
-        for w in ranked.windows(2) {
-            assert!(w[0].1 >= w[1].1);
-        }
-        assert_eq!(ranked[0].0, ApId(3));
     }
 
     #[test]

@@ -39,21 +39,27 @@ fn ingest_slice(server: &WiLocator, reports: &[ScanReport]) {
     }
 }
 
+/// One report at a time through `ingest`, which never publishes.
+fn ingest_each(server: &WiLocator, reports: &[ScanReport]) {
+    for report in reports {
+        server.ingest(report).expect("registered bus");
+    }
+}
+
 /// Paused publisher: readers keep getting the last published epoch while
 /// ingest runs on, the staleness reading grows, and a single resumed
-/// publish cycle surfaces a fresh epoch.
+/// publish cycle surfaces a fresh epoch. Reports go through `ingest`,
+/// which leaves publication to the caller.
 #[test]
 fn paused_publisher_serves_last_epoch_within_staleness_bound() {
     let (city, plan) = seeded_day(7);
-    let mut config = WiLocatorConfig::default();
-    config.query.publish_on_ingest = false;
     // Deterministic clocks: spans on one, staleness/latency on the other.
     let span_clock: Arc<dyn Clock> = Arc::new(SteppingClock::new(0, 1));
     let query_clock: Arc<dyn Clock> = Arc::new(SteppingClock::new(1_000, 1_000));
     let server = WiLocator::new_with_clocks(
         &city.server_field,
         city.routes.clone(),
-        config,
+        WiLocatorConfig::default(),
         span_clock,
         query_clock,
     );
@@ -66,7 +72,7 @@ fn paused_publisher_serves_last_epoch_within_staleness_bound() {
     assert_eq!(server.snapshot_epoch(), 0);
     assert_eq!(server.query_metrics().staleness_us(), 0);
 
-    ingest_slice(&server, &reports[..mid]);
+    ingest_each(&server, &reports[..mid]);
     assert_eq!(
         server.snapshot_epoch(),
         0,
@@ -89,7 +95,7 @@ fn paused_publisher_serves_last_epoch_within_staleness_bound() {
 
     // More ingest with the publisher still paused: readers keep the last
     // epoch, and /healthz reports both the epoch and the lag.
-    ingest_slice(&server, &reports[mid..]);
+    ingest_each(&server, &reports[mid..]);
     assert_eq!(server.snapshot_epoch(), 1);
     assert_eq!(server.query_snapshot().epoch, 1);
     let health = respond(&server, &get("/healthz"));
