@@ -74,8 +74,7 @@ fn scene() -> (Vec<Route>, HomogeneousField) {
     (vec![route], HomogeneousField::new(aps))
 }
 
-/// Staggered buses scanning every 10 s at 8 m/s (the canonical
-/// `ingest_throughput` cadence), time-sorted.
+/// Staggered buses scanning every 10 s at 8 m/s, time-sorted.
 fn reports(routes: &[Route], field: &HomogeneousField, buses: usize) -> Vec<ScanReport> {
     let route = &routes[0];
     let mut out = Vec::new();

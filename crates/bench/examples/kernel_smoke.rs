@@ -1,9 +1,8 @@
 //! CI bench-regression guard for the flat positioning kernels.
 //!
 //! Runs the fix kernel (100 rank-vector lookups), the full 1 km SVD
-//! raster, and the incremental churn patch with plain `Instant` timing
-//! (criterion is too slow and too statistical for a CI smoke), then
-//! compares against the checked-in baseline:
+//! raster, and the incremental churn patch with plain `Instant` timing,
+//! then compares against the checked-in baseline:
 //!
 //! ```text
 //! cargo run --release -p wilocator-bench --example kernel_smoke -- --check
@@ -29,8 +28,8 @@ use wilocator_svd::{
 /// Maximum tolerated slowdown vs. the blessed baseline.
 const TOLERANCE: f64 = 2.0;
 
-/// Names must stay aligned with the criterion rows in `perf_kernels.rs`
-/// so EXPERIMENTS.md rows and smoke rows are directly comparable.
+/// The rows of `baselines/kernel_baseline.json` and of EXPERIMENTS.md's
+/// "CI smoke guard" table.
 const KERNELS: [&str; 3] = [
     "locate_100_scans",
     "svd_raster_1km_2m",

@@ -2,9 +2,9 @@
 //!
 //! The real content lives in `benches/`: one `harness = false` bench per
 //! table and figure of the paper (each prints the same rows or series the
-//! paper reports), plus a Criterion suite for the performance-critical
-//! kernels. Run everything with `cargo bench --workspace`; select workload
-//! size with `WILOCATOR_SCALE` ∈ `smoke` / `medium` (default) / `paper`.
+//! paper reports). Run everything with `cargo bench -p wilocator-bench`;
+//! select workload size with `WILOCATOR_SCALE` ∈ `smoke` / `medium`
+//! (default) / `paper`. Pipeline speed is measured by `perfbench/`.
 
 #![forbid(unsafe_code)]
 #![deny(rust_2018_idioms)]

@@ -6,10 +6,10 @@
 //! Workers default to 4. A worker is only ever blocked on socket I/O or
 //! doing CPU-light snapshot reads (an `Arc` clone plus JSON rendering),
 //! so a small pool saturates the read path long before it contends with
-//! ingest — the `query_scaling` bench shows a single snapshot cell
-//! sustaining dozens of reader threads. Connections beyond the pool
-//! wait in the accept queue; riders see latency, not errors, under
-//! overload.
+//! ingest — the since-removed `query_scaling` bench showed a single
+//! snapshot cell sustaining dozens of reader threads (EXPERIMENTS.md).
+//! Connections beyond the pool wait in the accept queue; riders see
+//! latency, not errors, under overload.
 //!
 //! # Shutdown
 //!
@@ -228,14 +228,7 @@ fn handle_connection(
 /// connection always closes afterwards: framing is unknown.
 fn write_error(stream: &mut TcpStream, server: &WiLocator, error: HttpError) {
     server.query_metrics().bad_request_total.inc();
-    let response = Response {
-        status: error.status,
-        content_type: "application/json",
-        body: format!(
-            "{{\"status\":{},\"error\":\"{}\"}}",
-            error.status, error.message
-        ),
-    };
+    let response = Response::error(error.status, error.message);
     let _ = write_response(stream, &response, false);
 }
 

@@ -47,7 +47,7 @@ impl Response {
         }
     }
 
-    fn error(status: u16, message: &str) -> Response {
+    pub(crate) fn error(status: u16, message: &str) -> Response {
         Response::json(
             status,
             JsonObj::new()
@@ -75,7 +75,8 @@ pub fn respond(server: &WiLocator, request: &crate::http::Request) -> Response {
     // the recorder's rings by key: rider traffic is orders of magnitude
     // denser than ingest, and pushing every query trace through one
     // ring mutex would serialise the otherwise lock-free read path (the
-    // query_scaling bench flatlined exactly that way before sampling).
+    // since-removed query_scaling bench flatlined exactly that way before
+    // sampling; EXPERIMENTS.md keeps its table).
     let key = target_key(&request.target);
     let ctx = if key.is_multiple_of(QUERY_TRACE_EVERY) {
         let shard = (key % server.shard_count().max(1) as u64) as usize;
@@ -517,7 +518,7 @@ fn subscribe(server: &WiLocator, query: Option<&str>) -> Response {
 }
 
 /// One self-contained JSON document with all three `/debug` sections —
-/// what `vancouver_day --debug-out` writes and `wilocator-dash` renders
+/// what `vancouver_day --debug-out` writes and `tracedump dash` renders
 /// offline. Byte-identical to stitching the three endpoint bodies.
 pub fn debug_dump(server: &WiLocator) -> String {
     let snap = server.query_snapshot();

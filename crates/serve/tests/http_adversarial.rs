@@ -152,6 +152,10 @@ fn oversized_request_line_is_414() {
     raw.resize(raw.len() + 9_000, b'a');
     let reply = exchange(&handle, &raw);
     assert!(reply.starts_with("HTTP/1.1 414"), "{reply:?}");
+    assert_eq!(
+        reply.split_once("\r\n\r\n").map(|(_, body)| body),
+        Some(r#"{"status":414,"error":"request line too long"}"#),
+    );
     assert_alive(&handle);
     handle.shutdown();
 }

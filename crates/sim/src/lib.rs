@@ -53,7 +53,7 @@ pub mod trajectory;
 
 pub use bus::{segment_travel_time, simulate_trip, BusConfig};
 pub use city::{campus, simple_street, vancouver_like, CampusScene, City, CityConfig};
-pub use loadgen::{LoadEvent, LoadPlan, QueryOp, RiderLoad, DEFAULT_QUERY_RATIO};
+pub use loadgen::{LoadEvent, LoadPlan, DEFAULT_QUERY_RATIO};
 pub use sensing::{sense_trip, serving_tower, GpsModel, ScanBundle, SensingConfig};
 pub use trace::{daily_schedule, simulate, Dataset, SimulationConfig, TripTrace};
 pub use traffic::{Incident, TrafficConfig, TrafficModel, DAY_S};

@@ -11,7 +11,7 @@
 
 use wilocator_obs::{metric_key, MetricsSnapshot};
 use wilocator_rf::Scan;
-use wilocator_road::{RouteId, StopId};
+use wilocator_road::RouteId;
 
 use crate::trace::Dataset;
 
@@ -124,171 +124,10 @@ impl LoadPlan {
     }
 }
 
-/// One rider-side query against the front end.
-///
-/// Mirrors the three data endpoints of `wilocator-serve`; every variant
-/// renders to the HTTP target it would be issued as.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum QueryOp {
-    /// "When does my bus get here?" — the dominant rider question.
-    Arrivals {
-        /// Route the rider filters on.
-        route: RouteId,
-        /// The rider's stop.
-        stop: StopId,
-    },
-    /// "Where is this bus right now?"
-    Position {
-        /// The bus key (trip id in replays).
-        bus: u64,
-    },
-    /// "How bad is traffic on my line?"
-    Traffic {
-        /// The route asked about.
-        route: RouteId,
-    },
-}
-
-impl QueryOp {
-    /// The HTTP request target this query issues.
-    pub fn target(&self) -> String {
-        match *self {
-            QueryOp::Arrivals { route, stop } => {
-                format!("/arrivals/{}?route={}", stop.0, route.0)
-            }
-            QueryOp::Position { bus } => format!("/position/{bus}"),
-            QueryOp::Traffic { route } => format!("/traffic/{}", route.0),
-        }
-    }
-}
-
-/// Deterministic rider-side query load derived from an ingestion plan.
-///
-/// Real deployments are read-dominated — the paper's rider app asks for
-/// arrivals far more often than buses report scans — so the generator
-/// defaults to a ~1000:1 query:ingest ratio with a 70/20/10
-/// arrivals/position/traffic mix. Queries are *addressable*, not
-/// materialised: [`RiderLoad::op`] is a pure function of the index, so
-/// any number of reader threads can walk disjoint index ranges without
-/// sharing state — exactly what the `query_scaling` bench does.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct RiderLoad {
-    buses: Vec<u64>,
-    arrival_targets: Vec<(RouteId, StopId)>,
-    traffic_routes: Vec<RouteId>,
-    queries: u64,
-    seed: u64,
-}
-
-/// The default rider-to-ingest query ratio.
+/// The default rider-to-ingest query ratio. Real deployments are
+/// read-dominated: the paper's rider app asks for arrivals far more often
+/// than buses report scans.
 pub const DEFAULT_QUERY_RATIO: u64 = 1_000;
-
-fn splitmix64(mut x: u64) -> u64 {
-    x = x.wrapping_add(0x9E37_79B9_7F4A_7C15);
-    let mut z = x;
-    z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-    z ^ (z >> 31)
-}
-
-impl RiderLoad {
-    /// Builds the query load riding on `plan`: `ratio` queries per
-    /// ingest event, addressed at the plan's buses and the stops of
-    /// `routes`. Fully deterministic in `seed`.
-    pub fn new(plan: &LoadPlan, routes: &[wilocator_road::Route], ratio: u64, seed: u64) -> Self {
-        let buses: Vec<u64> = plan.trip_ids().iter().map(|&id| id as u64).collect();
-        let mut arrival_targets = Vec::new();
-        let mut traffic_routes = Vec::new();
-        for route in routes {
-            traffic_routes.push(route.id());
-            for stop in route.stops() {
-                arrival_targets.push((route.id(), stop.id()));
-            }
-        }
-        let addressable =
-            !arrival_targets.is_empty() || !buses.is_empty() || !traffic_routes.is_empty();
-        RiderLoad {
-            buses,
-            arrival_targets,
-            traffic_routes,
-            queries: if addressable {
-                (plan.events.len() as u64).saturating_mul(ratio)
-            } else {
-                0
-            },
-            seed,
-        }
-    }
-
-    /// Total queries in the load.
-    pub fn len(&self) -> u64 {
-        self.queries
-    }
-
-    /// True when the load holds no queries.
-    pub fn is_empty(&self) -> bool {
-        self.queries == 0
-    }
-
-    /// The `i`-th query (`i < len()`), as a pure function of the index:
-    /// ~70% arrivals, ~20% position, ~10% traffic, degrading to
-    /// whichever kinds are addressable in the scene.
-    pub fn op(&self, i: u64) -> QueryOp {
-        let r = splitmix64(self.seed ^ i.wrapping_mul(0xA24B_AED4_963E_E407));
-        let kind = r % 10;
-        let pick = r >> 8;
-        // Preference order per kind, falling back to any addressable
-        // target so `op` is total whenever the load is non-empty.
-        let arrivals = |pick: u64| {
-            self.arrival_targets
-                .get((pick % self.arrival_targets.len().max(1) as u64) as usize)
-                .map(|&(route, stop)| QueryOp::Arrivals { route, stop })
-        };
-        let position = |pick: u64| {
-            self.buses
-                .get((pick % self.buses.len().max(1) as u64) as usize)
-                .map(|&bus| QueryOp::Position { bus })
-        };
-        let traffic = |pick: u64| {
-            self.traffic_routes
-                .get((pick % self.traffic_routes.len().max(1) as u64) as usize)
-                .map(|&route| QueryOp::Traffic { route })
-        };
-        let preferred = match kind {
-            0..=6 => [arrivals(pick), position(pick), traffic(pick)],
-            7 | 8 => [position(pick), arrivals(pick), traffic(pick)],
-            _ => [traffic(pick), arrivals(pick), position(pick)],
-        };
-        preferred
-            .into_iter()
-            .flatten()
-            .next()
-            .expect("op called on an empty rider load")
-    }
-
-    /// All queries in index order.
-    pub fn iter(&self) -> impl Iterator<Item = QueryOp> + '_ {
-        (0..self.queries).map(|i| self.op(i))
-    }
-
-    /// The load summarised in loadgen counter families:
-    /// `loadgen_queries_total{endpoint="..."}`.
-    pub fn stats(&self) -> MetricsSnapshot {
-        let mut out = MetricsSnapshot::new();
-        for op in self.iter() {
-            let endpoint = match op {
-                QueryOp::Arrivals { .. } => "arrivals",
-                QueryOp::Position { .. } => "position",
-                QueryOp::Traffic { .. } => "traffic",
-            };
-            out.add_counter(
-                metric_key("loadgen_queries_total", &format!("endpoint=\"{endpoint}\"")),
-                1,
-            );
-        }
-        out
-    }
-}
 
 #[cfg(test)]
 mod tests {
@@ -365,67 +204,6 @@ mod tests {
     #[should_panic(expected = "lane")]
     fn zero_lanes_rejected() {
         LoadPlan::default().lanes(0);
-    }
-
-    #[test]
-    fn rider_load_is_deterministic_and_mixed() {
-        let ds = tiny_dataset(1);
-        let city = simple_street(1_200.0, 4, 1, &CityConfig::default());
-        let plan = LoadPlan::for_day(&ds, 0);
-        let load = RiderLoad::new(&plan, &city.routes, 3, 7);
-        assert_eq!(load.len(), plan.events.len() as u64 * 3);
-        let again = RiderLoad::new(&plan, &city.routes, 3, 7);
-        assert_eq!(
-            load.iter().collect::<Vec<_>>(),
-            again.iter().collect::<Vec<_>>()
-        );
-        // The mix leans heavily towards arrivals, with every kind present.
-        let stats = load.stats();
-        let arrivals = stats.counter("loadgen_queries_total{endpoint=\"arrivals\"}");
-        let position = stats.counter("loadgen_queries_total{endpoint=\"position\"}");
-        let traffic = stats.counter("loadgen_queries_total{endpoint=\"traffic\"}");
-        assert_eq!(arrivals + position + traffic, load.len());
-        assert!(arrivals > position && position > traffic && traffic > 0);
-        // Every query addresses something that exists in the scene.
-        for op in load.iter().take(200) {
-            match op {
-                QueryOp::Arrivals { route, stop } => {
-                    let r = city.routes.iter().find(|r| r.id() == route).expect("route");
-                    assert!(r.stops().iter().any(|s| s.id() == stop));
-                }
-                QueryOp::Position { bus } => {
-                    assert!(plan.trip_ids().contains(&(bus as usize)));
-                }
-                QueryOp::Traffic { route } => {
-                    assert!(city.routes.iter().any(|r| r.id() == route));
-                }
-            }
-        }
-    }
-
-    #[test]
-    fn rider_load_targets_render_as_http_paths() {
-        assert_eq!(
-            QueryOp::Arrivals {
-                route: RouteId(2),
-                stop: StopId(5)
-            }
-            .target(),
-            "/arrivals/5?route=2"
-        );
-        assert_eq!(QueryOp::Position { bus: 9 }.target(), "/position/9");
-        assert_eq!(
-            QueryOp::Traffic { route: RouteId(0) }.target(),
-            "/traffic/0"
-        );
-    }
-
-    #[test]
-    fn rider_load_on_empty_plan_is_empty() {
-        let load = RiderLoad::new(&LoadPlan::default(), &[], 1_000, 1);
-        assert!(load.is_empty());
-        assert_eq!(load.iter().count(), 0);
-        assert!(load.stats().counters().is_empty());
     }
 
     #[test]

@@ -8,15 +8,14 @@
 //! dump always produces byte-identical output (CI diffs it, and the
 //! golden tests rely on it).
 //!
-//! The JSON layer reuses the `wilocator-tracedump` parser; this crate
-//! adds the schema: [`parse_dump`] validates member types and value
-//! ranges strictly enough that `wilocator-dash --check` doubles as a
-//! schema check for the debug endpoints in CI.
+//! The JSON layer is the crate's [`parse_json`]; this module adds the
+//! schema: [`parse_dump`] validates member types and value ranges
+//! strictly enough that `tracedump dash --check` doubles as a schema
+//! check for the debug endpoints in CI.
 
-#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-use wilocator_tracedump::{parse_json, Json};
+use crate::{parse_json, Json};
 
 /// One windowed aggregate point of a tracked series.
 #[derive(Debug, Clone, PartialEq)]

@@ -1,5 +1,6 @@
-//! `wilocator-tracedump`: offline analyzer for the flight recorder's
-//! Chrome trace-event JSON export.
+//! `wilocator-tracedump`: offline inspection of what the server exports —
+//! the flight recorder's Chrome trace-event JSON, and (in [`dash`]) the
+//! quality plane's `/debug` JSON.
 //!
 //! The server's [`Tracer`](https://ui.perfetto.dev)-loadable export is a
 //! flat list of complete (`"ph":"X"`) events — one per span, `pid` =
@@ -10,10 +11,14 @@
 //! on-call workflows need: top-K slowest spans, per-stage and per-route
 //! latency breakdowns, and an anomaly summary.
 //!
-//! Run it as `cargo run -p wilocator-tracedump -- trace.json [--top K]`.
+//! Run it as `cargo run -p wilocator-tracedump -- trace.json [--top K]`,
+//! or `cargo run -p wilocator-tracedump -- dash debug.json [--check]` for
+//! the quality dashboard.
 
 #![forbid(unsafe_code)]
 #![deny(rust_2018_idioms)]
+
+pub mod dash;
 
 use std::collections::BTreeMap;
 use std::fmt::Write as _;
@@ -64,12 +69,19 @@ impl Json {
     }
 }
 
+/// Deepest array/object nesting [`parse_json`] accepts. Nothing the
+/// workspace writes nests deeper than about ten levels (SARIF is the
+/// deepest); the bound keeps a hostile file or socket from overflowing
+/// the parser's stack.
+const MAX_DEPTH: usize = 128;
+
 /// Parses one JSON document. Errors carry the byte offset they were
-/// detected at.
+/// detected at; arrays and objects nested more than 128 deep are an
+/// error.
 pub fn parse_json(text: &str) -> Result<Json, String> {
     let bytes = text.as_bytes();
     let mut pos = 0usize;
-    let value = parse_value(bytes, &mut pos)?;
+    let value = parse_value(bytes, &mut pos, 0)?;
     skip_ws(bytes, &mut pos);
     if pos != bytes.len() {
         return Err(format!("trailing data at byte {pos}"));
@@ -83,11 +95,16 @@ fn skip_ws(bytes: &[u8], pos: &mut usize) {
     }
 }
 
-fn parse_value(bytes: &[u8], pos: &mut usize) -> Result<Json, String> {
+/// Parses the value at `pos`, inside `depth` open arrays and objects.
+fn parse_value(bytes: &[u8], pos: &mut usize, depth: usize) -> Result<Json, String> {
     skip_ws(bytes, pos);
     match bytes.get(*pos) {
-        Some(b'{') => parse_object(bytes, pos),
-        Some(b'[') => parse_array(bytes, pos),
+        Some(b'{' | b'[') if depth == MAX_DEPTH => Err(format!(
+            "nesting deeper than {MAX_DEPTH} at byte {pos}",
+            pos = *pos
+        )),
+        Some(b'{') => parse_object(bytes, pos, depth + 1),
+        Some(b'[') => parse_array(bytes, pos, depth + 1),
         Some(b'"') => Ok(Json::Str(parse_string(bytes, pos)?)),
         Some(b't') => parse_keyword(bytes, pos, "true", Json::Bool(true)),
         Some(b'f') => parse_keyword(bytes, pos, "false", Json::Bool(false)),
@@ -183,7 +200,7 @@ fn utf8_len(first: u8) -> usize {
     }
 }
 
-fn parse_array(bytes: &[u8], pos: &mut usize) -> Result<Json, String> {
+fn parse_array(bytes: &[u8], pos: &mut usize, depth: usize) -> Result<Json, String> {
     *pos += 1; // '['
     let mut out = Vec::new();
     skip_ws(bytes, pos);
@@ -192,7 +209,7 @@ fn parse_array(bytes: &[u8], pos: &mut usize) -> Result<Json, String> {
         return Ok(Json::Arr(out));
     }
     loop {
-        out.push(parse_value(bytes, pos)?);
+        out.push(parse_value(bytes, pos, depth)?);
         skip_ws(bytes, pos);
         match bytes.get(*pos) {
             Some(b',') => *pos += 1,
@@ -205,7 +222,7 @@ fn parse_array(bytes: &[u8], pos: &mut usize) -> Result<Json, String> {
     }
 }
 
-fn parse_object(bytes: &[u8], pos: &mut usize) -> Result<Json, String> {
+fn parse_object(bytes: &[u8], pos: &mut usize, depth: usize) -> Result<Json, String> {
     *pos += 1; // '{'
     let mut out = Vec::new();
     skip_ws(bytes, pos);
@@ -224,7 +241,7 @@ fn parse_object(bytes: &[u8], pos: &mut usize) -> Result<Json, String> {
             return Err(format!("expected `:` at byte {pos}", pos = *pos));
         }
         *pos += 1;
-        let value = parse_value(bytes, pos)?;
+        let value = parse_value(bytes, pos, depth)?;
         out.push((key, value));
         skip_ws(bytes, pos);
         match bytes.get(*pos) {
@@ -639,6 +656,18 @@ mod tests {
         assert!(report.contains("3 spans across 2 traces"));
         assert!(report.contains("unknown_bus"));
         assert!(report.contains("per-route ingest latency"));
+    }
+
+    #[test]
+    fn nesting_past_max_depth_is_an_error_not_a_stack_overflow() {
+        let err = parse_json(&"[".repeat(100_000)).expect_err("too deep");
+        assert!(err.contains("byte 128"), "{err}");
+        let arrays = |n: usize| format!("{}{}", "[".repeat(n), "]".repeat(n));
+        assert!(parse_json(&arrays(MAX_DEPTH)).is_ok());
+        assert!(parse_json(&arrays(MAX_DEPTH + 1)).is_err());
+        let objects = |n: usize| format!("{}1{}", r#"{"a":"#.repeat(n), "}".repeat(n));
+        assert!(parse_json(&objects(MAX_DEPTH)).is_ok());
+        assert!(parse_json(&objects(MAX_DEPTH + 1)).is_err());
     }
 
     #[test]

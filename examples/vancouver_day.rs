@@ -160,7 +160,7 @@ fn main() {
         match std::fs::write(&path, &json) {
             Ok(()) => println!(
                 "\nquality plane: wrote {} bytes of /debug JSON to {path} \
-                 (render with `wilocator-dash {path}`)",
+                 (render with `tracedump dash {path}`)",
                 json.len()
             ),
             Err(e) => {

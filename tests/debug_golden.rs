@@ -2,7 +2,7 @@
 //! deterministic single-threaded replay on stepping clocks must render
 //! byte-identical `/debug/timeseries`, `/debug/quality` and
 //! `/debug/slo` bodies, run to run and commit to commit — and every
-//! body must round-trip through the `wilocator-dash` parser.
+//! body must round-trip through the `tracedump dash` parser.
 //!
 //! Bless after an intentional format change with
 //! `WILOCATOR_BLESS=1 cargo test --test debug_golden`.
@@ -15,7 +15,7 @@ use common::{assert_matches_fixture, seeded_day, to_report};
 use wilocator::core::{BusKey, ScanReport, WiLocator, WiLocatorConfig};
 use wilocator::obs::SteppingClock;
 use wilocator::serve::{debug_dump, parse_request, respond, HttpLimits, Request};
-use wilocator_dash::{parse_dump, render_dashboard};
+use wilocator_tracedump::dash::{parse_dump, render_dashboard};
 
 fn get(target: &str) -> Request {
     let raw = format!("GET {target} HTTP/1.1\r\n\r\n");
@@ -68,7 +68,7 @@ fn transcript(server: &WiLocator) -> String {
         // Every body must be parseable by the dashboard's strict schema
         // reader — the golden only records documents the tooling accepts.
         parse_dump(&response.body)
-            .unwrap_or_else(|e| panic!("GET {target}: rejected by wilocator-dash: {e}"));
+            .unwrap_or_else(|e| panic!("GET {target}: rejected by tracedump dash: {e}"));
         out.push_str(&format!(
             "GET {target}\n{} {}\n{}\n\n",
             response.status, response.content_type, response.body

@@ -17,7 +17,7 @@ use wilocator::sim::{
     sense_trip, simple_street, simulate_trip, BusConfig, CityConfig, ScanBundle, SensingConfig,
     TrafficConfig, TrafficModel,
 };
-use wilocator_dash::parse_dump;
+use wilocator_tracedump::dash::parse_dump;
 
 const T0: f64 = 8.0 * 3_600.0;
 
