@@ -23,7 +23,9 @@
 //!   caller's sample stamps;
 //! * [`trace`] — causal span tracing with a tail-sampled flight
 //!   recorder ([`Tracer`] / [`TraceCtx`] / [`SpanGuard`]), Chrome
-//!   trace-event export and a deterministic text dump.
+//!   trace-event export and a deterministic text dump;
+//! * [`JsonWriter`] — the one JSON writer, appending to a caller's
+//!   buffer: the Chrome export and the rider front end's answers.
 //!
 //! # Design rules
 //!
@@ -70,6 +72,7 @@
 pub mod clock;
 pub mod counter;
 pub mod histogram;
+pub mod json;
 pub mod snapshot;
 pub mod sync;
 pub mod timeseries;
@@ -78,6 +81,7 @@ pub mod trace;
 pub use clock::{Clock, MonotonicClock, SteppingClock};
 pub use counter::{Counter, Gauge};
 pub use histogram::{ClockSpanTimer, Histogram, HistogramSnapshot, BUCKETS};
+pub use json::JsonWriter;
 pub use snapshot::{
     escape_label_value, metric_key, validate_exposition_line, Collect, MetricsSnapshot, Registry,
 };
@@ -85,6 +89,5 @@ pub use timeseries::{
     SeriesKind, SeriesView, TimeSeries, TimeSeriesConfig, WindowAgg, WindowPoint,
 };
 pub use trace::{
-    write_json_str, FieldList, FieldValue, SpanData, SpanGuard, TraceConfig, TraceCtx, TraceData,
-    Tracer,
+    FieldList, FieldValue, SpanData, SpanGuard, TraceConfig, TraceCtx, TraceData, Tracer,
 };

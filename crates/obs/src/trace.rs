@@ -58,6 +58,7 @@ use std::sync::{Arc, Mutex};
 
 use crate::clock::Clock;
 use crate::counter::{Counter, Gauge};
+use crate::json::JsonWriter;
 use crate::snapshot::{metric_key, Collect, MetricsSnapshot};
 use crate::sync::unpoisoned;
 
@@ -177,21 +178,6 @@ impl fmt::Display for FieldValue {
             FieldValue::F64(v) => write!(f, "{v:.2}"),
             FieldValue::Str(s) => write!(f, "{s}"),
             FieldValue::Bool(b) => write!(f, "{b}"),
-        }
-    }
-}
-
-impl FieldValue {
-    /// Appends the value as a JSON literal (non-finite floats become
-    /// strings, which plain JSON cannot carry as numbers).
-    fn write_json(&self, out: &mut String) {
-        match self {
-            FieldValue::U64(v) => out.push_str(&v.to_string()),
-            FieldValue::I64(v) => out.push_str(&v.to_string()),
-            FieldValue::F64(v) if v.is_finite() => out.push_str(&format!("{v:.2}")),
-            FieldValue::F64(v) => out.push_str(&format!("\"{v}\"")),
-            FieldValue::Str(s) => write_json_str(out, s),
-            FieldValue::Bool(b) => out.push_str(&b.to_string()),
         }
     }
 }
@@ -639,18 +625,17 @@ impl Tracer {
     /// Perfetto loadable): one complete `"X"` event per span, `pid` =
     /// shard, `tid` = trace id, `ts`/`dur` in microseconds.
     pub fn chrome_trace_json(&self) -> String {
-        let mut out = String::from("{\"displayTimeUnit\":\"ms\",\"traceEvents\":[");
-        let mut first = true;
+        let mut out = String::new();
+        let mut w = JsonWriter::new(&mut out);
+        w.open_obj();
+        w.key("displayTimeUnit").string("ms");
+        w.key("traceEvents").open_arr();
         for t in &self.export_traces() {
             for sp in &t.spans {
-                if !first {
-                    out.push(',');
-                }
-                first = false;
-                chrome_event(&mut out, t, sp);
+                chrome_event(&mut w, t, sp);
             }
         }
-        out.push_str("]}");
+        w.close_arr().close_obj();
         out
     }
 
@@ -728,37 +713,32 @@ impl Collect for Tracer {
 }
 
 /// Renders one span as a Chrome trace-event object.
-fn chrome_event(out: &mut String, t: &TraceData, sp: &SpanData) {
-    out.push_str("{\"name\":");
-    write_json_str(out, sp.name);
-    out.push_str(&format!(
-        ",\"cat\":\"wilocator\",\"ph\":\"X\",\"ts\":{},\"dur\":{},\"pid\":{},\"tid\":{},\"args\":{{",
-        sp.start_us,
-        sp.duration_us(),
-        t.shard,
-        t.trace_id
-    ));
-    let mut first = true;
-    if sp.is_root() {
-        if let Some(a) = t.anomaly {
-            out.push_str("\"anomaly\":");
-            write_json_str(out, a);
-            first = false;
-        }
-    } else {
-        out.push_str(&format!("\"parent\":{}", sp.parent));
-        first = false;
+fn chrome_event(w: &mut JsonWriter<'_>, t: &TraceData, sp: &SpanData) {
+    w.open_obj();
+    w.key("name").string(sp.name);
+    w.key("cat").string("wilocator");
+    w.key("ph").string("X");
+    w.key("ts").literal(sp.start_us);
+    w.key("dur").literal(sp.duration_us());
+    w.key("pid").literal(t.shard);
+    w.key("tid").literal(t.trace_id);
+    w.key("args").open_obj();
+    if !sp.is_root() {
+        w.key("parent").literal(sp.parent);
+    } else if let Some(a) = t.anomaly {
+        w.key("anomaly").string(a);
     }
     for (k, v) in &sp.fields {
-        if !first {
-            out.push(',');
-        }
-        first = false;
-        write_json_str(out, k);
-        out.push(':');
-        v.write_json(out);
+        w.key(k);
+        // `Display` is the JSON literal, floats at two decimals; a
+        // non-finite float, which a JSON number cannot carry, is quoted.
+        match v {
+            FieldValue::Str(_) => w.string(v),
+            FieldValue::F64(f) if !f.is_finite() => w.string(v),
+            _ => w.literal(v),
+        };
     }
-    out.push_str("}}");
+    w.close_obj().close_obj();
 }
 
 std::thread_local! {
@@ -804,27 +784,6 @@ fn mix64(mut x: u64) -> u64 {
     x ^= x >> 27;
     x = x.wrapping_mul(0x94d0_49bb_1331_11eb);
     x ^ (x >> 31)
-}
-
-/// Appends `s` to `out` as a JSON string literal, quotes included.
-/// Control characters without a short escape become lowercase `\u00xx`.
-/// Inlinable across crates: the rider front end calls it for every key
-/// and string value of every response.
-#[inline]
-pub fn write_json_str(out: &mut String, s: &str) {
-    out.push('"');
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
-    }
-    out.push('"');
 }
 
 /// Mutable trace state, thread-confined behind the context's `RefCell`.
@@ -1207,34 +1166,24 @@ mod tests {
         {
             let ctx = t.start_root_span(1, "ingest").unwrap();
             ctx.field("bus", 7u64);
+            ctx.field("delta", -3i64);
             ctx.flag_anomaly("unknown_bus");
             let sp = ctx.child_span("track");
             sp.field("note", "has \"quotes\"");
             sp.field("nan", f64::NAN);
+            sp.field("s", 12.3456f64);
+            sp.field("ok", true);
         }
-        let json = t.chrome_trace_json();
-        for key in [
-            "\"ph\":\"X\"",
-            "\"ts\":",
-            "\"dur\":",
-            "\"pid\":1",
-            "\"tid\":0",
-            "\"name\":\"ingest\"",
-        ] {
-            assert!(json.contains(key), "missing {key} in {json}");
-        }
-        assert!(json.contains("\"anomaly\":\"unknown_bus\""));
-        assert!(json.contains("\\\"quotes\\\""));
-        assert!(json.contains("\"nan\":\"NaN\""));
-        assert!(json.starts_with("{\"displayTimeUnit\":\"ms\",\"traceEvents\":["));
-        assert!(json.ends_with("]}"));
-    }
-
-    #[test]
-    fn json_str_escapes_specials_and_controls() {
-        let mut out = String::new();
-        write_json_str(&mut out, "a\"b\\c\nd\te\u{1}f\u{1f}");
-        assert_eq!(out, "\"a\\\"b\\\\c\\nd\\te\\u0001f\\u001f\"");
+        assert_eq!(
+            t.chrome_trace_json(),
+            concat!(
+                r#"{"displayTimeUnit":"ms","traceEvents":["#,
+                r#"{"name":"ingest","cat":"wilocator","ph":"X","ts":0,"dur":30,"pid":1,"tid":0,"#,
+                r#""args":{"anomaly":"unknown_bus","bus":7,"delta":-3}},"#,
+                r#"{"name":"track","cat":"wilocator","ph":"X","ts":10,"dur":10,"pid":1,"tid":0,"#,
+                r#""args":{"parent":0,"note":"has \"quotes\"","nan":"NaN","s":12.35,"ok":true}}]}"#,
+            )
+        );
     }
 
     #[test]

@@ -37,7 +37,6 @@
 )]
 
 pub mod http;
-pub mod json;
 pub mod server;
 pub mod service;
 

@@ -10,11 +10,9 @@
 //! `tracedump` can interleave rider queries with the pipeline spans they
 //! raced against.
 
-use wilocator_core::{BusKey, QualitySections, QueryEndpoint, WiLocator};
-use wilocator_obs::{SeriesView, WindowAgg};
+use wilocator_core::{BusKey, QualitySections, QueryEndpoint, QuerySnapshot, WiLocator};
+use wilocator_obs::{JsonWriter, SeriesView, WindowAgg};
 use wilocator_road::{RouteId, StopId};
-
-use crate::json::{JsonArr, JsonObj};
 
 /// Upper bound on a `/subscribe` long-poll, milliseconds: long enough
 /// to ride out a publish gap, short enough that an abandoned connection
@@ -38,6 +36,10 @@ pub struct Response {
 const JSON: &str = "application/json";
 const TEXT: &str = "text/plain; version=0.0.4";
 
+/// Initial capacity of an answer's body, bytes: a typical rider answer
+/// (~1.1 kB) is written with one allocation, a longer one doubles it.
+const BODY_BYTES: usize = 2048;
+
 impl Response {
     fn json(status: u16, body: String) -> Response {
         Response {
@@ -48,13 +50,13 @@ impl Response {
     }
 
     pub(crate) fn error(status: u16, message: &str) -> Response {
-        Response::json(
-            status,
-            JsonObj::new()
-                .u64_field("status", u64::from(status))
-                .str_field("error", message)
-                .finish(),
-        )
+        let mut body = String::with_capacity(BODY_BYTES);
+        let mut w = JsonWriter::new(&mut body);
+        w.open_obj();
+        w.key("status").literal(status);
+        w.key("error").string(message);
+        w.close_obj();
+        Response::json(status, body)
     }
 }
 
@@ -189,200 +191,181 @@ fn split_endpoint(path: &str) -> Option<(QueryEndpoint, &str)> {
 
 fn healthz(server: &WiLocator) -> Response {
     let snap = server.query_snapshot();
-    let metrics = server.query_metrics();
-    Response::json(
-        200,
-        JsonObj::new()
-            .str_field("status", "ok")
-            .u64_field("epoch", snap.epoch)
-            .f64_field("published_at_s", snap.published_at_s)
-            .u64_field("staleness_us", metrics.staleness_us())
-            .finish(),
-    )
+    let mut body = String::with_capacity(BODY_BYTES);
+    let mut w = JsonWriter::new(&mut body);
+    w.open_obj();
+    w.key("status").string("ok");
+    w.key("epoch").literal(snap.epoch);
+    w.key("published_at_s").float(snap.published_at_s);
+    w.key("staleness_us")
+        .literal(server.query_metrics().staleness_us());
+    w.close_obj();
+    Response::json(200, body)
 }
 
 fn arrivals(server: &WiLocator, id: &str, query: Option<&str>) -> Response {
-    let stop = match parse_u32(id) {
-        Some(stop) => StopId(stop),
-        None => return Response::error(400, "stop id must be a decimal integer"),
+    let Some(stop) = parse_decimal(id).map(StopId) else {
+        return Response::error(400, "stop id must be a decimal integer");
     };
     let route_filter = match route_param(query) {
         Ok(filter) => filter,
         Err(response) => return response,
     };
     let snap = server.query_snapshot();
-    let mut routes = JsonArr::new();
+    let mut body = String::with_capacity(BODY_BYTES);
+    let mut w = JsonWriter::new(&mut body);
+    w.open_obj();
+    w.key("stop").string(stop);
+    w.key("epoch").literal(snap.epoch);
+    w.key("as_of_s").float(snap.published_at_s);
+    w.key("routes").open_arr();
     let mut seen = false;
     for (route, entries) in snap.arrivals_at_stop(stop) {
         if route_filter.is_some_and(|want| want != route) {
             continue;
         }
         seen = true;
-        let mut list = JsonArr::new();
+        w.open_obj();
+        w.key("route").string(route);
+        w.key("arrivals").open_arr();
         for entry in entries {
-            list.push_raw(
-                JsonObj::new()
-                    .str_field("bus", &entry.bus.to_string())
-                    .f64_field("eta_s", entry.eta_s)
-                    .f64_field("from_fix_time_s", entry.from_fix_time_s)
-                    .finish(),
-            );
+            w.open_obj();
+            w.key("bus").string(entry.bus);
+            w.key("eta_s").float(entry.eta_s);
+            w.key("from_fix_time_s").float(entry.from_fix_time_s);
+            w.close_obj();
         }
-        routes.push_raw(
-            JsonObj::new()
-                .str_field("route", &route.to_string())
-                .raw_field("arrivals", &list.finish())
-                .finish(),
-        );
+        w.close_arr().close_obj();
     }
+    w.close_arr().close_obj();
     if !seen {
         return Response::error(404, "unknown stop");
     }
-    Response::json(
-        200,
-        JsonObj::new()
-            .str_field("stop", &stop.to_string())
-            .u64_field("epoch", snap.epoch)
-            .f64_field("as_of_s", snap.published_at_s)
-            .raw_field("routes", &routes.finish())
-            .finish(),
-    )
+    Response::json(200, body)
 }
 
 /// Extracts an optional `route=<decimal>` filter from the query string.
 fn route_param(query: Option<&str>) -> Result<Option<RouteId>, Response> {
-    let Some(query) = query else {
-        return Ok(None);
-    };
-    for pair in query.split('&') {
-        let (key, value) = pair.split_once('=').unwrap_or((pair, ""));
-        if key != "route" {
-            continue;
-        }
-        return match parse_u32(value) {
+    match query_param(query, "route") {
+        None => Ok(None),
+        Some(value) => match parse_decimal(value) {
             Some(route) => Ok(Some(RouteId(route))),
             None => Err(Response::error(
                 400,
                 "route filter must be a decimal integer",
             )),
-        };
+        },
     }
-    Ok(None)
 }
 
 fn position(server: &WiLocator, id: &str) -> Response {
-    let bus = match parse_u64(id) {
-        Some(bus) => BusKey(bus),
-        None => return Response::error(400, "bus id must be a decimal integer"),
+    let Some(bus) = parse_decimal(id).map(BusKey) else {
+        return Response::error(400, "bus id must be a decimal integer");
     };
     let snap = server.query_snapshot();
     let Some(view) = snap.position(bus) else {
         return Response::error(404, "unknown bus");
     };
     let fix = &view.fix;
-    let mut interval = String::from("[");
-    crate::json::write_f64(&mut interval, fix.interval.0);
-    interval.push(',');
-    crate::json::write_f64(&mut interval, fix.interval.1);
-    interval.push(']');
-    let fix_json = JsonObj::new()
-        .f64_field("s", fix.s)
-        .f64_field("x", fix.point.x)
-        .f64_field("y", fix.point.y)
-        .raw_field("interval", &interval)
-        .str_field("method", fix.method.label())
-        .f64_field("time_s", fix.time_s)
-        .finish();
-    Response::json(
-        200,
-        JsonObj::new()
-            .str_field("bus", &bus.to_string())
-            .str_field("route", &view.route.to_string())
-            .u64_field("epoch", snap.epoch)
-            .raw_field("fix", &fix_json)
-            .finish(),
-    )
+    let mut body = String::with_capacity(BODY_BYTES);
+    let mut w = JsonWriter::new(&mut body);
+    w.open_obj();
+    w.key("bus").string(bus);
+    w.key("route").string(view.route);
+    w.key("epoch").literal(snap.epoch);
+    w.key("fix").open_obj();
+    w.key("s").float(fix.s);
+    w.key("x").float(fix.point.x);
+    w.key("y").float(fix.point.y);
+    w.key("interval").open_arr();
+    w.float(fix.interval.0).float(fix.interval.1).close_arr();
+    w.key("method").string(fix.method.label());
+    w.key("time_s").float(fix.time_s);
+    w.close_obj().close_obj();
+    Response::json(200, body)
 }
 
 fn traffic(server: &WiLocator, id: &str) -> Response {
-    let route = match parse_u32(id) {
-        Some(route) => RouteId(route),
-        None => return Response::error(400, "route id must be a decimal integer"),
+    let Some(route) = parse_decimal(id).map(RouteId) else {
+        return Response::error(400, "route id must be a decimal integer");
     };
     let snap = server.query_snapshot();
     let Some(segments) = snap.traffic(route) else {
         return Response::error(404, "unknown route");
     };
-    let mut list = JsonArr::new();
+    let mut body = String::with_capacity(BODY_BYTES);
+    let mut w = JsonWriter::new(&mut body);
+    w.open_obj();
+    w.key("route").string(route);
+    w.key("epoch").literal(snap.epoch);
+    w.key("as_of_s").float(snap.published_at_s);
+    w.key("segments").open_arr();
     for segment in segments {
-        list.push_raw(
-            JsonObj::new()
-                .str_field("edge", &segment.edge.to_string())
-                .str_field("state", &segment.state.to_string())
-                .f64_field("z", segment.z)
-                .finish(),
-        );
+        w.open_obj();
+        w.key("edge").string(segment.edge);
+        w.key("state").string(segment.state);
+        w.key("z").float(segment.z);
+        w.close_obj();
     }
-    Response::json(
-        200,
-        JsonObj::new()
-            .str_field("route", &route.to_string())
-            .u64_field("epoch", snap.epoch)
-            .f64_field("as_of_s", snap.published_at_s)
-            .raw_field("segments", &list.finish())
-            .finish(),
-    )
+    w.close_arr().close_obj();
+    Response::json(200, body)
+}
+
+/// Opens a `/debug` document with the stamps every section shares.
+fn open_debug(w: &mut JsonWriter<'_>, snap: &QuerySnapshot) {
+    w.open_obj();
+    w.key("epoch").literal(snap.epoch);
+    w.key("as_of_s").float(snap.published_at_s);
+    w.key("evaluated_at_s").float(snap.quality.evaluated_at_s);
 }
 
 /// `/debug/timeseries`: the windowed metric aggregates published with
 /// the snapshot — closed windows oldest first, the open window last.
 fn debug_timeseries(server: &WiLocator) -> Response {
     let snap = server.query_snapshot();
-    Response::json(
-        200,
-        JsonObj::new()
-            .u64_field("epoch", snap.epoch)
-            .f64_field("as_of_s", snap.published_at_s)
-            .f64_field("evaluated_at_s", snap.quality.evaluated_at_s)
-            .raw_field("series", &series_json(&snap.quality.series))
-            .finish(),
-    )
+    let mut body = String::with_capacity(BODY_BYTES);
+    let mut w = JsonWriter::new(&mut body);
+    open_debug(&mut w, &snap);
+    write_series(&mut w, &snap.quality.series);
+    w.close_obj();
+    Response::json(200, body)
 }
 
-fn series_json(series: &[SeriesView]) -> String {
-    let mut out = JsonArr::new();
+fn write_series(w: &mut JsonWriter<'_>, series: &[SeriesView]) {
+    w.key("series").open_arr();
     for view in series {
-        let mut points = JsonArr::new();
+        w.open_obj();
+        w.key("family").string(&view.family);
+        w.key("kind").string(view.kind.label());
+        w.key("points").open_arr();
         for point in &view.points {
-            let obj = JsonObj::new().u64_field("start_us", point.start_us);
-            points.push_raw(match point.agg {
-                WindowAgg::Counter { delta, rate_per_s } => obj
-                    .u64_field("delta", delta)
-                    .f64_field("rate_per_s", rate_per_s)
-                    .finish(),
-                WindowAgg::Gauge { value } => obj.i64_field("value", value).finish(),
+            w.open_obj();
+            w.key("start_us").literal(point.start_us);
+            match point.agg {
+                WindowAgg::Counter { delta, rate_per_s } => {
+                    w.key("delta").literal(delta);
+                    w.key("rate_per_s").float(rate_per_s);
+                }
+                WindowAgg::Gauge { value } => {
+                    w.key("value").literal(value);
+                }
                 WindowAgg::Histogram {
                     count,
                     p50,
                     p90,
                     p99,
-                } => obj
-                    .u64_field("count", count)
-                    .u64_field("p50", p50)
-                    .u64_field("p90", p90)
-                    .u64_field("p99", p99)
-                    .finish(),
-            });
+                } => {
+                    w.key("count").literal(count);
+                    w.key("p50").literal(p50);
+                    w.key("p90").literal(p90);
+                    w.key("p99").literal(p99);
+                }
+            }
+            w.close_obj();
         }
-        out.push_raw(
-            JsonObj::new()
-                .str_field("family", &view.family)
-                .str_field("kind", view.kind.label())
-                .raw_field("points", &points.finish())
-                .finish(),
-        );
+        w.close_arr().close_obj();
     }
-    out.finish()
+    w.close_arr();
 }
 
 /// `/debug/quality[?route=N]`: live per-route ETA accuracy from the
@@ -398,87 +381,74 @@ fn debug_quality(server: &WiLocator, query: Option<&str>) -> Response {
         }
     }
     let snap = server.query_snapshot();
-    Response::json(
-        200,
-        JsonObj::new()
-            .u64_field("epoch", snap.epoch)
-            .f64_field("as_of_s", snap.published_at_s)
-            .f64_field("evaluated_at_s", snap.quality.evaluated_at_s)
-            .raw_field("routes", &routes_json(&snap.quality, route_filter))
-            .finish(),
-    )
+    let mut body = String::with_capacity(BODY_BYTES);
+    let mut w = JsonWriter::new(&mut body);
+    open_debug(&mut w, &snap);
+    write_routes(&mut w, &snap.quality, route_filter);
+    w.close_obj();
+    Response::json(200, body)
 }
 
-fn routes_json(quality: &QualitySections, filter: Option<RouteId>) -> String {
-    let mut out = JsonArr::new();
+fn write_routes(w: &mut JsonWriter<'_>, quality: &QualitySections, filter: Option<RouteId>) {
+    w.key("routes").open_arr();
     for (route, rq) in &quality.routes {
         if filter.is_some_and(|want| want != *route) {
             continue;
         }
-        let mut horizons = JsonArr::new();
+        w.open_obj();
+        w.key("route").string(route);
+        w.key("horizons").open_arr();
         for h in &rq.horizons {
-            horizons.push_raw(
-                JsonObj::new()
-                    .f64_field("horizon_s", h.horizon_s)
-                    .u64_field("confirmed_total", h.confirmed_total)
-                    .f64_field("mean_abs_error_s", h.mean_abs_error_s)
-                    .f64_field("p50_s", h.p50_s)
-                    .f64_field("p90_s", h.p90_s)
-                    .f64_field("p99_s", h.p99_s)
-                    .f64_field("p90_abs_s", h.p90_abs_s)
-                    .u64_field("recent_confirmed", h.recent_confirmed)
-                    .f64_field("recent_p90_s", h.recent_p90_s)
-                    .f64_field("recent_p90_abs_s", h.recent_p90_abs_s)
-                    .finish(),
-            );
+            w.open_obj();
+            w.key("horizon_s").float(h.horizon_s);
+            w.key("confirmed_total").literal(h.confirmed_total);
+            w.key("mean_abs_error_s").float(h.mean_abs_error_s);
+            w.key("p50_s").float(h.p50_s);
+            w.key("p90_s").float(h.p90_s);
+            w.key("p99_s").float(h.p99_s);
+            w.key("p90_abs_s").float(h.p90_abs_s);
+            w.key("recent_confirmed").literal(h.recent_confirmed);
+            w.key("recent_p90_s").float(h.recent_p90_s);
+            w.key("recent_p90_abs_s").float(h.recent_p90_abs_s);
+            w.close_obj();
         }
-        out.push_raw(
-            JsonObj::new()
-                .str_field("route", &route.to_string())
-                .raw_field("horizons", &horizons.finish())
-                .finish(),
-        );
+        w.close_arr().close_obj();
     }
-    out.finish()
+    w.close_arr();
 }
 
 /// `/debug/slo`: drift-detector statuses with exemplar trace ids, plus
 /// the live staleness reading.
 fn debug_slo(server: &WiLocator) -> Response {
     let snap = server.query_snapshot();
-    Response::json(
-        200,
-        JsonObj::new()
-            .u64_field("epoch", snap.epoch)
-            .f64_field("as_of_s", snap.published_at_s)
-            .f64_field("evaluated_at_s", snap.quality.evaluated_at_s)
-            .f64_field("staleness_s", server.query_metrics().staleness_s())
-            .raw_field("detectors", &detectors_json(&snap.quality))
-            .finish(),
-    )
+    let mut body = String::with_capacity(BODY_BYTES);
+    let mut w = JsonWriter::new(&mut body);
+    open_debug(&mut w, &snap);
+    w.key("staleness_s")
+        .float(server.query_metrics().staleness_s());
+    write_detectors(&mut w, &snap.quality);
+    w.close_obj();
+    Response::json(200, body)
 }
 
-fn detectors_json(quality: &QualitySections) -> String {
-    let mut out = JsonArr::new();
+fn write_detectors(w: &mut JsonWriter<'_>, quality: &QualitySections) {
+    w.key("detectors").open_arr();
     for d in &quality.slo {
-        let mut exemplars = JsonArr::new();
+        w.open_obj();
+        w.key("name").string(d.name);
+        w.key("fired").literal(d.fired);
+        w.key("short_burn").float(d.short_burn);
+        w.key("long_burn").float(d.long_burn);
+        w.key("threshold").float(d.threshold);
+        w.key("short_events").literal(d.short_events);
+        w.key("long_events").literal(d.long_events);
+        w.key("exemplar_trace_ids").open_arr();
         for id in &d.exemplar_trace_ids {
-            exemplars.push_raw(id.to_string());
+            w.literal(id);
         }
-        out.push_raw(
-            JsonObj::new()
-                .str_field("name", d.name)
-                .bool_field("fired", d.fired)
-                .f64_field("short_burn", d.short_burn)
-                .f64_field("long_burn", d.long_burn)
-                .f64_field("threshold", d.threshold)
-                .u64_field("short_events", d.short_events)
-                .u64_field("long_events", d.long_events)
-                .raw_field("exemplar_trace_ids", &exemplars.finish())
-                .finish(),
-        );
+        w.close_arr().close_obj();
     }
-    out.finish()
+    w.close_arr();
 }
 
 /// `/subscribe?epoch=N[&timeout_ms=M]`: long-poll that blocks until a
@@ -487,34 +457,25 @@ fn detectors_json(quality: &QualitySections) -> String {
 /// lock-free read path, so a slow subscriber never slows a publisher or
 /// another reader.
 fn subscribe(server: &WiLocator, query: Option<&str>) -> Response {
-    let mut epoch: Option<u64> = None;
-    let mut timeout_ms = DEFAULT_SUBSCRIBE_TIMEOUT_MS;
-    for pair in query.unwrap_or_default().split('&') {
-        let (key, value) = pair.split_once('=').unwrap_or((pair, ""));
-        match key {
-            "epoch" => match parse_u64(value) {
-                Some(e) => epoch = Some(e),
-                None => return Response::error(400, "epoch must be a decimal integer"),
-            },
-            "timeout_ms" => match parse_u64(value) {
-                Some(ms) => timeout_ms = ms.min(MAX_SUBSCRIBE_TIMEOUT_MS),
-                None => return Response::error(400, "timeout_ms must be a decimal integer"),
-            },
-            _ => {}
-        }
-    }
-    let Some(epoch) = epoch else {
-        return Response::error(400, "epoch parameter is required");
+    let epoch = match query_param(query, "epoch").map(parse_decimal::<u64>) {
+        Some(Some(epoch)) => epoch,
+        Some(None) => return Response::error(400, "epoch must be a decimal integer"),
+        None => return Response::error(400, "epoch parameter is required"),
+    };
+    let timeout_ms = match query_param(query, "timeout_ms").map(parse_decimal::<u64>) {
+        Some(Some(ms)) => ms.min(MAX_SUBSCRIBE_TIMEOUT_MS),
+        Some(None) => return Response::error(400, "timeout_ms must be a decimal integer"),
+        None => DEFAULT_SUBSCRIBE_TIMEOUT_MS,
     };
     // lint: allow(read_path_purity) — long-poll endpoint: parking on the publish condvar is its documented contract, bounded by the client timeout
     let current = server.wait_past_epoch(epoch, std::time::Duration::from_millis(timeout_ms));
-    Response::json(
-        200,
-        JsonObj::new()
-            .u64_field("epoch", current)
-            .bool_field("advanced", current > epoch)
-            .finish(),
-    )
+    let mut body = String::with_capacity(BODY_BYTES);
+    let mut w = JsonWriter::new(&mut body);
+    w.open_obj();
+    w.key("epoch").literal(current);
+    w.key("advanced").literal(current > epoch);
+    w.close_obj();
+    Response::json(200, body)
 }
 
 /// One self-contained JSON document with all three `/debug` sections —
@@ -522,26 +483,29 @@ fn subscribe(server: &WiLocator, query: Option<&str>) -> Response {
 /// offline. Byte-identical to stitching the three endpoint bodies.
 pub fn debug_dump(server: &WiLocator) -> String {
     let snap = server.query_snapshot();
-    JsonObj::new()
-        .u64_field("epoch", snap.epoch)
-        .f64_field("as_of_s", snap.published_at_s)
-        .f64_field("evaluated_at_s", snap.quality.evaluated_at_s)
-        .f64_field("staleness_s", server.query_metrics().staleness_s())
-        .raw_field("series", &series_json(&snap.quality.series))
-        .raw_field("routes", &routes_json(&snap.quality, None))
-        .raw_field("detectors", &detectors_json(&snap.quality))
-        .finish()
+    let mut body = String::with_capacity(BODY_BYTES);
+    let mut w = JsonWriter::new(&mut body);
+    open_debug(&mut w, &snap);
+    w.key("staleness_s")
+        .float(server.query_metrics().staleness_s());
+    write_series(&mut w, &snap.quality.series);
+    write_routes(&mut w, &snap.quality, None);
+    write_detectors(&mut w, &snap.quality);
+    w.close_obj();
+    body
+}
+
+/// The value of the first `key=value` pair of a query string that
+/// names `key` (empty for a bare `key`).
+fn query_param<'q>(query: Option<&'q str>, key: &str) -> Option<&'q str> {
+    query?.split('&').find_map(|pair| {
+        let (k, value) = pair.split_once('=').unwrap_or((pair, ""));
+        (k == key).then_some(value)
+    })
 }
 
 /// Strict non-negative decimal: ASCII digits only, must fit the type.
-fn parse_u32(s: &str) -> Option<u32> {
-    if s.is_empty() || !s.bytes().all(|b| b.is_ascii_digit()) {
-        return None;
-    }
-    s.parse().ok()
-}
-
-fn parse_u64(s: &str) -> Option<u64> {
+fn parse_decimal<T: std::str::FromStr>(s: &str) -> Option<T> {
     if s.is_empty() || !s.bytes().all(|b| b.is_ascii_digit()) {
         return None;
     }
@@ -620,14 +584,14 @@ mod tests {
 
     #[test]
     fn strict_decimal_ids() {
-        assert_eq!(parse_u32("0"), Some(0));
-        assert_eq!(parse_u32("42"), Some(42));
-        assert_eq!(parse_u32(""), None);
-        assert_eq!(parse_u32("-1"), None);
-        assert_eq!(parse_u32("+1"), None);
-        assert_eq!(parse_u32("1e3"), None);
-        assert_eq!(parse_u32("4294967296"), None);
-        assert_eq!(parse_u64("4294967296"), Some(4_294_967_296));
+        assert_eq!(parse_decimal::<u32>("0"), Some(0));
+        assert_eq!(parse_decimal::<u32>("42"), Some(42));
+        assert_eq!(parse_decimal::<u32>(""), None);
+        assert_eq!(parse_decimal::<u32>("-1"), None);
+        assert_eq!(parse_decimal::<u32>("+1"), None);
+        assert_eq!(parse_decimal::<u32>("1e3"), None);
+        assert_eq!(parse_decimal::<u32>("4294967296"), None);
+        assert_eq!(parse_decimal::<u64>("4294967296"), Some(4_294_967_296));
     }
 
     #[test]

@@ -15,8 +15,10 @@
 //! instead of the dashboard — CI pipes replay dumps through it as a
 //! schema gate. `-` reads the input from stdin.
 
-use std::io::Read;
+use std::io::{ErrorKind, Read, Write};
+use std::net::{TcpStream, ToSocketAddrs};
 use std::process::ExitCode;
+use std::time::Duration;
 
 use wilocator_tracedump::dash::{parse_dump, render_dashboard, Dashboard};
 use wilocator_tracedump::{parse_trace, render_report, validate_nesting};
@@ -24,6 +26,12 @@ use wilocator_tracedump::{parse_trace, render_report, validate_nesting};
 const USAGE: &str = "usage: tracedump <trace.json | -> [--top K]
        tracedump dash <dump.json | -> [--check]
        tracedump dash --fetch HOST:PORT [--check]";
+
+/// How long `--fetch` waits to connect, and then for each read or write.
+const FETCH_TIMEOUT: Duration = Duration::from_secs(5);
+
+/// The most bytes `--fetch` reads of one answer, head included.
+const FETCH_MAX_BYTES: u64 = 4 << 20;
 
 /// Why a run ended without printing its report.
 enum Stop {
@@ -159,19 +167,39 @@ fn read_input(path: &str) -> Result<String, String> {
 }
 
 /// One `Connection: close` HTTP exchange; returns the response body.
+/// A peer that does not answer within [`FETCH_TIMEOUT`] per connect,
+/// read or write, or that sends more than [`FETCH_MAX_BYTES`], fails it.
 fn http_get(addr: &str, target: &str) -> Result<String, String> {
-    use std::io::Write;
-    let mut stream =
-        std::net::TcpStream::connect(addr).map_err(|e| format!("connect {addr}: {e}"))?;
+    let connect = |e: std::io::Error| format!("connect {addr}: {e}");
+    let socket = addr
+        .to_socket_addrs()
+        .map_err(connect)?
+        .next()
+        .ok_or_else(|| format!("connect {addr}: no address"))?;
+    let mut stream = TcpStream::connect_timeout(&socket, FETCH_TIMEOUT).map_err(connect)?;
+    let get = |e: std::io::Error| match e.kind() {
+        ErrorKind::WouldBlock | ErrorKind::TimedOut => {
+            format!("GET {target}: no answer within {FETCH_TIMEOUT:?}")
+        }
+        _ => format!("GET {target}: {e}"),
+    };
+    stream.set_read_timeout(Some(FETCH_TIMEOUT)).map_err(get)?;
+    stream.set_write_timeout(Some(FETCH_TIMEOUT)).map_err(get)?;
     write!(
         stream,
         "GET {target} HTTP/1.1\r\nHost: wilocator\r\nConnection: close\r\n\r\n"
     )
-    .map_err(|e| format!("GET {target}: {e}"))?;
+    .map_err(get)?;
     let mut raw = Vec::new();
     stream
+        .take(FETCH_MAX_BYTES + 1)
         .read_to_end(&mut raw)
-        .map_err(|e| format!("GET {target}: {e}"))?;
+        .map_err(get)?;
+    if raw.len() as u64 > FETCH_MAX_BYTES {
+        return Err(format!(
+            "GET {target}: answer longer than {FETCH_MAX_BYTES} bytes"
+        ));
+    }
     let raw = String::from_utf8(raw).map_err(|_| format!("GET {target}: non-UTF-8 response"))?;
     let (head, body) = raw
         .split_once("\r\n\r\n")

@@ -2,9 +2,11 @@
 //! the reports on stdout, and usage and input errors on stderr.
 
 use std::io::Write;
+use std::net::{TcpListener, TcpStream};
 use std::path::PathBuf;
 use std::process::{Command, Output, Stdio};
 use std::sync::Arc;
+use std::time::{Duration, Instant};
 
 use wilocator_obs::{SteppingClock, TraceConfig, Tracer};
 use wilocator_tracedump::dash::{parse_dump, render_dashboard};
@@ -118,4 +120,45 @@ fn bad_arguments_exit_nonzero_with_usage() {
             "{args:?}: {out:?}"
         );
     }
+}
+
+/// Runs `dash --fetch` against a one-connection local peer that `peer`
+/// drives: it must exit 1 naming the peer and `why`, within the binary's
+/// 5 s fetch timeout plus a margin.
+fn fetch_fails_against(peer: fn(TcpStream), why: &str) {
+    let listener = TcpListener::bind("127.0.0.1:0").expect("bind a local port");
+    let addr = listener.local_addr().expect("bound address").to_string();
+    let peer = std::thread::spawn(move || peer(listener.accept().expect("accept").0));
+    let start = Instant::now();
+    let out = run(&["dash", "--fetch", &addr]);
+    let took = start.elapsed();
+    peer.join().expect("peer thread");
+    assert_eq!(out.status.code(), Some(1), "{out:?}");
+    let err = stderr(&out);
+    assert!(err.contains(&addr) && err.contains(why), "{err}");
+    assert!(took < Duration::from_secs(5 + 10), "took {took:?}");
+}
+
+#[test]
+fn fetch_gives_up_on_a_silent_peer() {
+    // Reads the request and everything after it, never answers, and
+    // ends when the client hangs up.
+    fetch_fails_against(
+        |mut stream| {
+            let _ = std::io::copy(&mut stream, &mut std::io::sink());
+        },
+        "no answer within 5s",
+    );
+}
+
+#[test]
+fn fetch_caps_an_endless_answer() {
+    // Sends until the client hangs up.
+    fetch_fails_against(
+        |mut stream| {
+            let chunk = [b'x'; 64 << 10];
+            while stream.write_all(&chunk).is_ok() {}
+        },
+        "answer longer than",
+    );
 }

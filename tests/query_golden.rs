@@ -11,8 +11,8 @@ use common::{assert_matches_fixture, seeded_day, to_report};
 use wilocator::core::{ScanReport, WiLocator, WiLocatorConfig};
 use wilocator::serve::{parse_request, respond, HttpLimits, Request};
 
-fn get(target: &str) -> Request {
-    let raw = format!("GET {target} HTTP/1.1\r\n\r\n");
+fn request(method: &str, target: &str) -> Request {
+    let raw = format!("{method} {target} HTTP/1.1\r\n\r\n");
     let (request, _) = parse_request(raw.as_bytes(), &HttpLimits::default())
         .expect("well-formed request line")
         .expect("complete request");
@@ -44,40 +44,56 @@ fn replayed_server() -> WiLocator {
     server
 }
 
-/// The fixed battery of requests the fixture records: every data
-/// endpoint, the route filter, and each 4xx shape.
-fn battery(server: &WiLocator) -> Vec<String> {
-    let snapshot = server.query_snapshot();
-    let mut targets = vec![
-        "/arrivals/0".to_string(),
-        "/arrivals/1".to_string(),
-        "/arrivals/1?route=0".to_string(),
-        "/arrivals/3".to_string(),
-        "/traffic/0".to_string(),
-        "/traffic/1".to_string(),
-        "/traffic/2".to_string(),
+/// The fixed battery of requests the fixture records, as (method,
+/// target): every data endpoint, the route filter, each 4xx shape and
+/// the long-poll's immediate answers.
+fn battery(server: &WiLocator) -> Vec<(&'static str, String)> {
+    let get = |target: &str| ("GET", target.to_string());
+    let mut battery: Vec<_> = [
+        "/arrivals/0",
+        "/arrivals/1",
+        "/arrivals/1?route=0",
+        "/arrivals/3",
+        "/traffic/0",
+        "/traffic/1",
+        "/traffic/2",
         // 4xx shapes are part of the contract too.
-        "/arrivals/99".to_string(),
-        "/traffic/9".to_string(),
-        "/position/99999".to_string(),
-        "/position/abc".to_string(),
-        "/arrivals/1?route=x".to_string(),
-        "/nope/1".to_string(),
-    ];
+        "/arrivals/99",
+        "/traffic/9",
+        "/position/99999",
+        "/position/abc",
+        "/arrivals/1?route=x",
+        "/nope/1",
+    ]
+    .into_iter()
+    .map(get)
+    .collect();
     // Snapshot iteration is ordered, so "the first three buses" is a
     // deterministic pick.
-    for bus in snapshot.buses.keys().take(3) {
-        targets.push(format!("/position/{}", bus.0));
+    for bus in server.query_snapshot().buses.keys().take(3) {
+        battery.push(get(&format!("/position/{}", bus.0)));
     }
-    targets
+    battery.push(("POST", "/healthz".to_string()));
+    battery.extend(
+        [
+            "/arrivals/abc",
+            "/traffic/abc",
+            "/subscribe",
+            // The replay has published past epoch 0: this answers at once.
+            "/subscribe?epoch=0&timeout_ms=0",
+        ]
+        .into_iter()
+        .map(get),
+    );
+    battery
 }
 
 fn transcript(server: &WiLocator) -> String {
     let mut out = String::new();
-    for target in battery(server) {
-        let response = respond(server, &get(&target));
+    for (method, target) in battery(server) {
+        let response = respond(server, &request(method, &target));
         out.push_str(&format!(
-            "GET {target}\n{} {}\n{}\n\n",
+            "{method} {target}\n{} {}\n{}\n\n",
             response.status, response.content_type, response.body
         ));
     }
