@@ -1,9 +1,8 @@
 //! CI gate for the quality plane's ingest overhead.
 //!
-//! Replays the same report stream into two otherwise-identical sharded
-//! servers — quality plane enabled (ledger, residual sketches, drift
-//! detectors) vs. disabled (every hook an early return, the PR 8 hot
-//! path) — and compares wall time:
+//! Replays the same report stream into two otherwise-identical servers
+//! — quality plane enabled (ledger, residual sketches, drift detectors)
+//! vs. disabled (every hook an early return) — and compares wall time:
 //!
 //! ```text
 //! cargo run --release -p wilocator-bench --example ingest_overhead -- --check

@@ -191,16 +191,16 @@ fn publish_gate_serializes_and_epoch_is_exact() {
 }
 
 /// The PR-6 read-path contract, as an executable statement: a reader
-/// completes `SnapshotCell::read` while an ingest shard's write lock is
-/// held (and never released until the reader is done). If any schedule
-/// had the reader touch that lock, the checker would report the
-/// deadlock; all schedules completing proves the read path is
+/// completes `SnapshotCell::read` while the server's ingest write lock
+/// is held (and never released until the reader is done). If any
+/// schedule had the reader touch that lock, the checker would report
+/// the deadlock; all schedules completing proves the read path is
 /// ingest-lock-free.
 #[test]
 fn readers_never_block_on_ingest_locks() {
     let report = explore_with(Config::default(), || {
-        // Stand-in for a `server.rs` shard lock, same primitive type.
-        let shard = Arc::new(model::RwLock::new(0u64));
+        // Stand-in for the `server.rs` ingest lock, same primitive type.
+        let ingest_lock = Arc::new(model::RwLock::new(0u64));
         let cell = Arc::new(SnapshotCell::new(2));
         cell.publish_with(|epoch, _| QuerySnapshot::stamped(epoch, 0.0));
         let reader = {
@@ -211,10 +211,10 @@ fn readers_never_block_on_ingest_locks() {
                 assert!(snap.is_coherent());
             })
         };
-        // Take the shard write lock while the reader is in flight, and
+        // Take the ingest write lock while the reader is in flight, and
         // join while still holding it: the reader can only finish if its
         // path never touches the ingest lock.
-        let ingest_guard = shard.write().expect("ingest writer");
+        let ingest_guard = ingest_lock.write().expect("ingest writer");
         reader.join().expect("reader");
         drop(ingest_guard);
     });

@@ -94,21 +94,6 @@ impl TravelTimeStore {
         self.by_edge.keys().copied()
     }
 
-    /// Copies every record of `other` into this store (used to assemble
-    /// a merged view across server shards). Record lists stay ordered by
-    /// exit time.
-    pub fn merge_from(&mut self, other: &TravelTimeStore) {
-        for (&edge, records) in &other.by_edge {
-            let v = self.by_edge.entry(edge).or_default();
-            if v.is_empty() {
-                v.extend_from_slice(records);
-            } else {
-                v.extend_from_slice(records);
-                v.sort_by(|a, b| a.t_exit.total_cmp(&b.t_exit));
-            }
-        }
-    }
-
     /// Traversals of `edge` completed strictly before `t`, optionally
     /// filtered by a predicate on the record.
     pub fn completed_before(&self, edge: EdgeId, t: f64) -> impl Iterator<Item = &Traversal> {
@@ -120,18 +105,12 @@ impl TravelTimeStore {
     /// The last `max_j` traversals of `edge` (any route) completed within
     /// `(t - window, t)`, oldest first — the "J buses of K′ routes passing
     /// by e_i most recently" of Equation 5.
-    pub fn recent_buses(
-        &self,
-        edge: EdgeId,
-        t: f64,
-        window_s: f64,
-        max_j: usize,
-    ) -> Vec<Traversal> {
+    pub fn recent_buses(&self, edge: EdgeId, t: f64, window_s: f64, max_j: usize) -> &[Traversal] {
         let all = self.traversals(edge);
         let start = all.partition_point(|tr| tr.t_exit <= t - window_s);
         let end = all.partition_point(|tr| tr.t_exit < t);
         let lo = end.saturating_sub(max_j).max(start);
-        all[lo..end].to_vec()
+        &all[lo..end]
     }
 
     /// Mean travel time of `route` on `edge` over records completed before

@@ -1,5 +1,5 @@
-//! Server observability: per-shard ingest accounting, server-wide batch
-//! accounting and predictor accounting.
+//! Server observability: ingest accounting, transport accounting and
+//! predictor accounting.
 //!
 //! All three structs are relaxed-atomic ledgers ([`wilocator_obs`]):
 //! recording never locks or allocates, so they sit directly on the
@@ -20,10 +20,11 @@ use crate::tracker::IngestOutcome;
 
 use wilocator_obs::{metric_key, Clock, Collect, Counter, Gauge, Histogram, MetricsSnapshot};
 
-/// Per-shard ingest accounting. Lives *outside* the shard's `RwLock`
-/// (in a `Vec<Arc<ShardMetrics>>` parallel to the shard table), so
+/// Ingest accounting. Lives *outside* the server's `RwLock`, so
 /// recording — including the lock-hold histogram — never needs the
-/// shard lock.
+/// lock. The name, like the `wilocator_shard_lock_hold_us` family,
+/// dates from when each group of edge-sharing routes had a lock of its
+/// own.
 ///
 /// Invariant at any quiescent point:
 /// `reports_total == fixes_total + reports_absorbed_total + reports_stale_total`.
@@ -32,7 +33,7 @@ use wilocator_obs::{metric_key, Clock, Collect, Counter, Gauge, Histogram, Metri
 /// construction.
 #[derive(Debug, Default)]
 pub struct ShardMetrics {
-    /// Reports that reached this shard's tracker (known bus).
+    /// Reports that reached a tracker (known bus).
     pub reports_total: Counter,
     /// Reports dropped as older than the bus's latest fix (network
     /// reordering); the committed trajectory is untouched.
@@ -44,7 +45,8 @@ pub struct ShardMetrics {
     /// Segment traversals committed to the travel-time store (both the
     /// eager drain on ingest and the tail commit on finish).
     pub traversals_committed_total: Counter,
-    /// Microseconds the shard write lock was held per acquisition.
+    /// Microseconds the server write lock was held per ingest call or
+    /// finished trip.
     pub lock_hold_us: Histogram,
 }
 
@@ -98,8 +100,7 @@ impl Collect for ShardMetrics {
     }
 }
 
-/// Server-wide (cross-shard) accounting: the transport envelope around
-/// the per-shard ledgers.
+/// Transport accounting: the envelope around the ingest ledger.
 #[derive(Debug, Default)]
 pub struct ServerMetrics {
     /// Single-report [`crate::WiLocator::ingest`] calls.

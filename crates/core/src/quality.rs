@@ -24,7 +24,7 @@
 //! online, from the live stream, with no ground-truth side channel: the
 //! bus itself confirms its arrival.
 //!
-//! The ledger is bounded (`MAX_PENDING` entries per shard,
+//! The ledger is bounded (`MAX_PENDING` entries for the whole server,
 //! FIFO eviction) and each sketch is a fixed pair of 32-bucket
 //! log-histograms, so quality monitoring adds O(1) memory per
 //! (route, horizon) regardless of uptime.
@@ -51,14 +51,14 @@
 //!
 //! # Locking
 //!
-//! Hot-path recording locks one per-shard quality mutex, always
-//! acquired *after* the shard's `RwLock` (confirmation runs inside
-//! `ingest_locked`; issuance inside the snapshot builder's shard read
-//! pass) and never the other way around. Evaluation locks the plane
-//! state first, then each shard quality mutex one at a time; it never
-//! touches a shard `RwLock`, so the publish path cannot deadlock with
-//! ingest. Readers of the published [`QualitySections`] touch no lock
-//! at all — the sections ride the epoch-published snapshot.
+//! Hot-path recording locks the ledger mutex, always acquired *after*
+//! the server's `RwLock` (confirmation runs inside `ingest_locked`;
+//! issuance inside the snapshot builder's read pass) and never the
+//! other way around. Evaluation locks the plane state first, then the
+//! ledger; it never touches the server lock, so the publish path cannot
+//! deadlock with ingest. Readers of the published [`QualitySections`]
+//! touch no lock at all — the sections ride the epoch-published
+//! snapshot.
 
 use std::collections::{BTreeMap, VecDeque};
 
@@ -97,7 +97,7 @@ impl Default for QualityConfig {
 /// is within `HORIZONS_S[h]`.
 const HORIZONS_S: [f64; 3] = [60.0, 180.0, 300.0];
 
-/// Pending-ledger entries per shard; the oldest entry is evicted (and
+/// Pending-ledger entries; the oldest entry is evicted (and
 /// counted) when a new issuance would exceed this.
 const MAX_PENDING: usize = 4096;
 
@@ -283,7 +283,7 @@ impl HorizonSketches {
 // ---------------------------------------------------------------------
 
 /// Key of one pending retro-prediction: a bus serves one route and stop
-/// ids are route-scoped, so (bus, stop, horizon) is unique per shard.
+/// ids are route-scoped, so (bus, stop, horizon) is unique.
 type PendingKey = (BusKey, StopId, u8);
 
 #[derive(Debug, Clone, Copy)]
@@ -293,10 +293,10 @@ struct PendingEta {
     predicted_abs_s: f64,
 }
 
-/// Per-shard quality state, parallel to the server's shard table and
-/// guarded by its own mutex *outside* the shard `RwLock`.
+/// The retro-prediction ledger and the residual sketches it settles
+/// into, guarded by its own mutex *outside* the server `RwLock`.
 #[derive(Debug, Default)]
-struct ShardQuality {
+struct Ledger {
     pending: BTreeMap<PendingKey, PendingEta>,
     /// Issuance order, for FIFO eviction. May hold keys already
     /// confirmed (removed from `pending`); eviction skips them and the
@@ -305,25 +305,25 @@ struct ShardQuality {
     residuals: BTreeMap<(RouteId, u8), HorizonSketches>,
 }
 
-/// Per-bus quality state, owned by the shard's bus table so the hot
+/// Per-bus quality state, owned by the server's bus table so the hot
 /// ingest hook reaches it through the `BusState` it already fetched —
-/// no extra hash probe, and no lane-mutex acquire until a settlement
+/// no extra hash probe, and no ledger-mutex acquire until a settlement
 /// is actually due.
 #[derive(Debug)]
 pub(crate) struct BusQuality {
     /// Previous scan's sorted AP-id set, for churn accounting. Empty
     /// means the bus has no prior non-empty scan: sets are only stored
     /// when a scan observed at least one AP. Mutated only under the
-    /// shard write lock (the ingest path).
+    /// server write lock (the ingest path).
     prev_aps: Vec<ApId>,
     /// Bit pattern of the smallest pending `stop_s` for this bus — the
     /// confirmation fast path. A fix short of the floor cannot settle
     /// anything, so the hot hook skips the ledger (and its mutex)
-    /// entirely. Every write happens with the bus's lane mutex held
-    /// (issuance under the shard read lock, settlement under the write
+    /// entirely. Every write happens with the ledger mutex held
+    /// (issuance under the server read lock, settlement under the write
     /// lock), so plain relaxed load/store cannot lose an update; the
     /// atomic exists for interior mutability under the read lock, with
-    /// ordering supplied by the shard `RwLock` itself. The floor may go
+    /// ordering supplied by the server `RwLock` itself. The floor may go
     /// stale-low (eviction removes ledger entries without raising it);
     /// that costs one empty range scan, never a missed settlement.
     due_floor_bits: AtomicU64,
@@ -344,7 +344,7 @@ impl BusQuality {
     }
 
     /// Lowers the floor to `stop_s` if it isn't already lower. Callers
-    /// hold the bus's lane mutex (see `due_floor_bits`), so the
+    /// hold the ledger mutex (see `due_floor_bits`), so the
     /// read-then-store pair cannot lose a concurrent update.
     pub(crate) fn floor_min(&self, stop_s: f64) {
         if stop_s < self.due_floor() {
@@ -543,19 +543,18 @@ struct PlaneState {
 }
 
 /// The quality observability plane. One per server, beside (never
-/// inside) the shard locks.
+/// inside) the server lock.
 #[derive(Debug)]
 pub struct QualityPlane {
     config: QualityConfig,
     metrics: Arc<QualityMetrics>,
-    lanes: Vec<Mutex<ShardQuality>>,
+    ledger: Mutex<Ledger>,
     state: Mutex<PlaneState>,
 }
 
 impl QualityPlane {
-    /// A plane for `shards` server shards. Evaluation drives its
-    /// time-series by stream time.
-    pub fn new(shards: usize, config: QualityConfig) -> Self {
+    /// A plane whose evaluation drives its time-series by stream time.
+    pub fn new(config: QualityConfig) -> Self {
         let mut series = TimeSeries::new(TimeSeriesConfig {
             window_us: WINDOW_US,
             windows: WINDOWS,
@@ -572,7 +571,7 @@ impl QualityPlane {
         QualityPlane {
             config,
             metrics: QualityMetrics::shared(),
-            lanes: (0..shards.max(1)).map(|_| Mutex::default()).collect(),
+            ledger: Mutex::default(),
             state: Mutex::new(PlaneState {
                 series,
                 sketch_window: None,
@@ -587,18 +586,16 @@ impl QualityPlane {
     }
 
     /// Hot-path hook: one confirmed fix for `report.bus` on `route`.
-    /// Folds AP churn into `bq` (the bus's shard-owned quality state)
+    /// Folds AP churn into `bq` (the bus's server-owned quality state)
     /// and settles any pending retro-predictions the fix has crossed.
-    /// Called with the shard `RwLock` held for write; the per-shard
-    /// quality mutex is taken only when the fix has reached the bus's
-    /// due floor, so the steady-state hook touches no lock but the one
-    /// its caller already holds (lock order: shard lock → quality
-    /// mutex, module docs).
-    #[allow(clippy::too_many_arguments)]
+    /// Called with the server `RwLock` held for write; the ledger mutex
+    /// is taken only when the fix has reached the bus's due floor, so
+    /// the steady-state hook touches no lock but the one its caller
+    /// already holds (lock order: server lock → ledger mutex, module
+    /// docs).
     // lint: hot_path(deny: blocks_or_syscalls, unbounded_iteration)
     pub(crate) fn on_fix(
         &self,
-        shard: usize,
         report: &ScanReport,
         fix: &Fix,
         fixes: &[Fix],
@@ -610,7 +607,7 @@ impl QualityPlane {
             return;
         }
         // AP churn: symmetric difference of consecutive sorted AP sets.
-        // The current set is built in the shard's scratch buffer and
+        // The current set is built in the server's scratch buffer and
         // swapped with the stored per-bus set, so the steady-state hook
         // performs no heap allocation. Scan readings usually arrive in
         // ascending AP order; the sort runs only when they do not.
@@ -649,10 +646,7 @@ impl QualityPlane {
         if fix.s < bq.due_floor() {
             return;
         }
-        let Some(cell) = self.lanes.get(shard) else {
-            return;
-        };
-        let q = &mut *unpoisoned(cell.lock());
+        let q = &mut *unpoisoned(self.ledger.lock());
         let lo = (report.bus, StopId(0), 0u8);
         let hi = (report.bus, StopId(u32::MAX), u8::MAX);
         let mut due: Vec<PendingKey> = Vec::new();
@@ -685,15 +679,13 @@ impl QualityPlane {
 
     /// Publication hook: records the arrival-table entries of one
     /// (route, stop) whose lead time has entered a horizon. Called from
-    /// the snapshot builder with the shard read lock held (same lock
+    /// the snapshot builder with the server read lock held (same lock
     /// order as [`QualityPlane::on_fix`]). `floor_min` is invoked, with
-    /// the lane mutex held, for each bus that gained a pending entry —
+    /// the ledger mutex held, for each bus that gained a pending entry —
     /// the caller routes it to that bus's [`BusQuality`] so the ingest
     /// hook knows a settlement is due.
-    #[allow(clippy::too_many_arguments)]
     pub(crate) fn issue(
         &self,
-        shard: usize,
         route: RouteId,
         stop: StopId,
         stop_s: f64,
@@ -704,10 +696,7 @@ impl QualityPlane {
         if !self.config.enabled || entries.is_empty() {
             return;
         }
-        let Some(cell) = self.lanes.get(shard) else {
-            return;
-        };
-        let mut q = unpoisoned(cell.lock());
+        let mut q = unpoisoned(self.ledger.lock());
         for entry in entries {
             let lead = entry.eta_s - as_of;
             if lead <= 0.0 {
@@ -759,13 +748,10 @@ impl QualityPlane {
     /// evicted: the bus's trip ended (finish or re-registration), so no
     /// fix of that trip will settle them, and a later trip under the
     /// same key must neither be blocked by them nor settle them. Called
-    /// with the shard write lock held that dropped the bus's state (lock
+    /// with the server write lock held that dropped the bus's state (lock
     /// order as in [`QualityPlane::on_fix`]).
-    pub(crate) fn forget_bus(&self, shard: usize, bus: BusKey) {
-        let Some(cell) = self.lanes.get(shard) else {
-            return;
-        };
-        let q = &mut *unpoisoned(cell.lock());
+    pub(crate) fn forget_bus(&self, bus: BusKey) {
+        let q = &mut *unpoisoned(self.ledger.lock());
         let lo = (bus, StopId(0), 0u8);
         let hi = (bus, StopId(u32::MAX), u8::MAX);
         let stale: Vec<PendingKey> = q.pending.range(lo..=hi).map(|(k, _)| *k).collect();
@@ -804,12 +790,10 @@ impl QualityPlane {
         let open = state.sketch_window.unwrap_or(window);
         if window > open {
             let turns = (window - open).min(WINDOWS as u64 + 1) as usize;
-            for cell in &self.lanes {
-                let mut q = unpoisoned(cell.lock());
-                for sketches in q.residuals.values_mut() {
-                    for _ in 0..turns {
-                        sketches.rotate();
-                    }
+            let mut q = unpoisoned(self.ledger.lock());
+            for sketches in q.residuals.values_mut() {
+                for _ in 0..turns {
+                    sketches.rotate();
                 }
             }
         }
@@ -827,30 +811,27 @@ impl QualityPlane {
         sections
     }
 
-    /// Per-route accuracy views from the residual sketches. Every route
-    /// lives in exactly one shard, so no cross-shard merge is needed.
+    /// Per-route accuracy views from the residual sketches.
     fn route_quality(&self) -> BTreeMap<RouteId, RouteQuality> {
         let mut out: BTreeMap<RouteId, RouteQuality> = BTreeMap::new();
-        for cell in &self.lanes {
-            let q = unpoisoned(cell.lock());
-            for ((route, h), sketches) in &q.residuals {
-                let recent = sketches.recent();
-                let cum = &sketches.cumulative;
-                let view = out.entry(*route).or_default();
-                let horizon_s = HORIZONS_S.get(*h as usize).copied().unwrap_or(0.0);
-                view.horizons.push(HorizonQuality {
-                    horizon_s,
-                    confirmed_total: cum.count(),
-                    mean_abs_error_s: cum.mean_abs_s(),
-                    p50_s: cum.quantile_s(0.5),
-                    p90_s: cum.quantile_s(0.9),
-                    p99_s: cum.quantile_s(0.99),
-                    p90_abs_s: cum.quantile_abs_s(0.9),
-                    recent_confirmed: recent.count(),
-                    recent_p90_s: recent.quantile_s(0.9),
-                    recent_p90_abs_s: recent.quantile_abs_s(0.9),
-                });
-            }
+        let q = unpoisoned(self.ledger.lock());
+        for ((route, h), sketches) in &q.residuals {
+            let recent = sketches.recent();
+            let cum = &sketches.cumulative;
+            let view = out.entry(*route).or_default();
+            let horizon_s = HORIZONS_S.get(*h as usize).copied().unwrap_or(0.0);
+            view.horizons.push(HorizonQuality {
+                horizon_s,
+                confirmed_total: cum.count(),
+                mean_abs_error_s: cum.mean_abs_s(),
+                p50_s: cum.quantile_s(0.5),
+                p90_s: cum.quantile_s(0.9),
+                p99_s: cum.quantile_s(0.99),
+                p90_abs_s: cum.quantile_abs_s(0.9),
+                recent_confirmed: recent.count(),
+                recent_p90_s: recent.quantile_s(0.9),
+                recent_p90_abs_s: recent.quantile_abs_s(0.9),
+            });
         }
         for view in out.values_mut() {
             view.horizons
@@ -966,12 +947,9 @@ impl QualityPlane {
         out
     }
 
-    /// Pending ledger entries across shards (tests and debug).
+    /// Pending ledger entries (tests and debug).
     pub fn pending_len(&self) -> usize {
-        self.lanes
-            .iter()
-            .map(|c| unpoisoned(c.lock()).pending.len())
-            .sum()
+        unpoisoned(self.ledger.lock()).pending.len()
     }
 }
 
@@ -980,7 +958,7 @@ mod tests {
     use super::*;
 
     fn plane(config: QualityConfig) -> QualityPlane {
-        QualityPlane::new(1, config)
+        QualityPlane::new(config)
     }
 
     fn fix_at(s: f64, time_s: f64) -> Fix {
@@ -1043,7 +1021,6 @@ mod tests {
         // t=50: lead 100 s is within the 180 s and 300 s horizons only.
         let floor = |_, s| bq.floor_min(s);
         p.issue(
-            0,
             RouteId(0),
             StopId(2),
             500.0,
@@ -1055,7 +1032,6 @@ mod tests {
         assert_eq!(bq.due_floor(), 500.0, "issuance lowered the floor");
         // Re-issuing the same prediction is idempotent.
         p.issue(
-            0,
             RouteId(0),
             StopId(2),
             500.0,
@@ -1070,7 +1046,6 @@ mod tests {
         let fixes = [fix_at(450.0, 140.0), fix_at(550.0, 160.0)];
         let last = fixes[fixes.len() - 1];
         p.on_fix(
-            0,
             &report(1, 160.0, &[]),
             &last,
             &fixes,
@@ -1094,7 +1069,6 @@ mod tests {
         let last = MAX_PENDING as u64 + 1;
         for bus in 1..=last {
             p.issue(
-                0,
                 RouteId(0),
                 StopId(0),
                 100.0,
@@ -1107,10 +1081,10 @@ mod tests {
         assert_eq!(p.metrics().eta_ledger_evicted_total.get(), 1);
         assert_eq!(p.pending_len(), MAX_PENDING);
         // The first issued entry is the one that went.
-        let lane = unpoisoned(p.lanes[0].lock());
-        assert!(!lane.pending.contains_key(&(BusKey(1), StopId(0), 2)));
-        assert!(lane.pending.contains_key(&(BusKey(2), StopId(0), 2)));
-        assert!(lane.pending.contains_key(&(BusKey(last), StopId(0), 2)));
+        let ledger = unpoisoned(p.ledger.lock());
+        assert!(!ledger.pending.contains_key(&(BusKey(1), StopId(0), 2)));
+        assert!(ledger.pending.contains_key(&(BusKey(2), StopId(0), 2)));
+        assert!(ledger.pending.contains_key(&(BusKey(last), StopId(0), 2)));
     }
 
     #[test]
@@ -1118,7 +1092,6 @@ mod tests {
         let p = plane(QualityConfig::default());
         for (bus, stop) in [(1u64, 0u32), (1, 1), (2, 0)] {
             p.issue(
-                0,
                 RouteId(0),
                 StopId(stop),
                 100.0,
@@ -1128,10 +1101,10 @@ mod tests {
             );
         }
         assert_eq!(p.pending_len(), 9);
-        p.forget_bus(0, BusKey(1));
+        p.forget_bus(BusKey(1));
         assert_eq!(p.pending_len(), 3, "bus 2's entries stay");
         assert_eq!(p.metrics().eta_ledger_evicted_total.get(), 6);
-        p.forget_bus(0, BusKey(1));
+        p.forget_bus(BusKey(1));
         assert_eq!(p.metrics().eta_ledger_evicted_total.get(), 6);
     }
 
@@ -1142,7 +1115,6 @@ mod tests {
         let mut scratch = Vec::new();
         let f = fix_at(10.0, 1.0);
         p.on_fix(
-            0,
             &report(1, 1.0, &[1, 2, 3, 4]),
             &f,
             &[f],
@@ -1154,7 +1126,6 @@ mod tests {
         assert_eq!(p.metrics().ap_churn_total.get(), 0);
         // One AP swapped: churn 2 of 8 observed.
         p.on_fix(
-            0,
             &report(1, 2.0, &[1, 2, 3, 5]),
             &f,
             &[f],
@@ -1251,7 +1222,6 @@ mod tests {
     fn disabled_plane_is_inert() {
         let p = plane(QualityConfig { enabled: false });
         p.issue(
-            0,
             RouteId(0),
             StopId(0),
             100.0,
@@ -1263,7 +1233,6 @@ mod tests {
         let mut bq = BusQuality::default();
         let mut scratch = Vec::new();
         p.on_fix(
-            0,
             &report(1, 1.0, &[1, 2]),
             &f,
             &[f],

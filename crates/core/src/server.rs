@@ -6,21 +6,16 @@
 //! operations of the paper's three components — real-time tracking,
 //! arrival-time prediction and traffic-map generation.
 //!
-//! # Sharding
+//! # Locking
 //!
-//! Server state is split into *shards*: connected components of routes
-//! that share at least one road segment. Each shard owns its bus
-//! trackers, travel-time store, predictor and traffic-map state behind
-//! one `RwLock`, so uploads for unrelated routes never contend. Segments
-//! partition cleanly across shards (a segment shared by two routes puts
-//! both routes in the same shard), which preserves Equation 8's
-//! cross-route residual borrowing exactly: every traversal of a segment
-//! lands in the one shard that owns it. The route table, positioners and
-//! the bus → shard directory are read-mostly; only registration touches
-//! the directory with a write lock.
-//!
-//! Lock ordering: the bus directory is always acquired before any shard
-//! lock, and no operation ever holds two shard locks at once.
+//! Everything ingest mutates sits behind one `RwLock`: the bus table,
+//! the travel-time store, the predictor and the traffic-map generator.
+//! One store serves every route, which is what Equation 8 asks for: a
+//! segment's records are shared by every route that crosses it. The
+//! route table and the positioners are built once and read without a
+//! lock, and rider queries read the published [`QuerySnapshot`], never
+//! the lock. The quality plane's ledger mutex nests inside the server
+//! lock, never the other way around.
 
 use crate::sync::{unpoisoned, Arc, RwLock};
 use std::collections::HashMap;
@@ -28,8 +23,8 @@ use std::collections::HashMap;
 use wilocator_obs::{
     Clock, MetricsSnapshot, MonotonicClock, Registry, TraceConfig, TraceCtx, TraceData, Tracer,
 };
-use wilocator_rf::SignalField;
-use wilocator_road::{EdgeId, Route, RouteId, StopId};
+use wilocator_rf::{ApId, SignalField};
+use wilocator_road::{Route, RouteId, StopId};
 use wilocator_svd::{
     Fix, FixMethod, PositionerConfig, PositioningMetrics, RoutePositioner, RouteTileIndex,
     SvdConfig,
@@ -163,21 +158,21 @@ impl BusState {
     }
 }
 
-/// Everything one group of edge-sharing routes owns: trackers of the
-/// buses on those routes, the travel-time records of their segments, a
-/// predictor trained on those records, and the traffic-map state.
+/// Everything behind the server lock: the trackers of the registered
+/// buses, the travel-time records of every segment, the predictor
+/// trained on those records, and the traffic-map state.
 #[derive(Debug)]
-struct Shard {
+struct State {
     buses: HashMap<BusKey, BusState>,
     store: TravelTimeStore,
     predictor: ArrivalPredictor,
     traffic: TrafficMapGenerator,
     /// Scratch for the quality hook's current-scan AP set, so the
     /// steady-state ingest path never allocates for churn accounting.
-    quality_scratch: Vec<wilocator_rf::ApId>,
+    quality_scratch: Vec<ApId>,
 }
 
-impl Shard {
+impl State {
     /// The arrival table of one stop at `stop_s` on `route`: every bus of
     /// the route whose latest fix is short of the stop, with its
     /// Equation 9 arrival time, soonest first. Arrival-time ties (buses
@@ -222,47 +217,6 @@ impl Shard {
     }
 }
 
-/// Groups routes into connected components over shared segments.
-/// Returns `(shard index per route position, shard count)`.
-fn shard_partition(routes: &[Route]) -> (Vec<usize>, usize) {
-    fn find(parent: &mut [usize], mut x: usize) -> usize {
-        while parent[x] != x {
-            parent[x] = parent[parent[x]];
-            x = parent[x];
-        }
-        x
-    }
-    let n = routes.len();
-    let mut parent: Vec<usize> = (0..n).collect();
-    let mut owner: HashMap<EdgeId, usize> = HashMap::new();
-    for (i, route) in routes.iter().enumerate() {
-        for &edge in route.edges() {
-            match owner.get(&edge) {
-                Some(&j) => {
-                    let (a, b) = (find(&mut parent, i), find(&mut parent, j));
-                    if a != b {
-                        parent[a.max(b)] = a.min(b);
-                    }
-                }
-                None => {
-                    owner.insert(edge, i);
-                }
-            }
-        }
-    }
-    // Densify component roots into shard ids, in route order.
-    let mut shard_of_root: HashMap<usize, usize> = HashMap::new();
-    let mut shards = Vec::with_capacity(n);
-    for i in 0..n {
-        let root = find(&mut parent, i);
-        let next = shard_of_root.len();
-        let id = *shard_of_root.entry(root).or_insert(next);
-        shards.push(id);
-    }
-    let count = shard_of_root.len();
-    (shards, count)
-}
-
 /// Ring slots in the query [`SnapshotCell`]. More slots give stalled
 /// readers more publish cycles of grace before a writer can block on
 /// them; 2 is the functional minimum.
@@ -286,42 +240,36 @@ pub struct WiLocator {
     routes: Vec<Route>,
     positioners: HashMap<RouteId, RoutePositioner>,
     identifier: RouteIdentifier,
-    /// Read-mostly: built once, never mutated after construction.
-    shard_of_route: HashMap<RouteId, usize>,
-    shards: Vec<RwLock<Shard>>,
-    /// Bus → shard directory. Written on (de)registration, read on every
-    /// upload. Always acquired *before* any shard lock.
-    bus_dir: RwLock<HashMap<BusKey, usize>>,
-    /// Per-shard ingest ledgers, parallel to `shards` but *outside* the
-    /// locks: recording (including the lock-hold histogram) never needs
-    /// the shard lock.
-    shard_metrics: Vec<Arc<ShardMetrics>>,
-    /// Cross-shard transport accounting.
+    /// The server lock: everything ingest mutates.
+    state: RwLock<State>,
+    /// Ingest ledger, *outside* the lock: recording (including the
+    /// lock-hold histogram) never needs it.
+    ingest_metrics: Arc<ShardMetrics>,
+    /// Transport accounting.
     server_metrics: Arc<ServerMetrics>,
-    /// Flight recorder: per-shard trace rings plus the tail-sampled
-    /// retention buffer ([`wilocator_obs::Tracer`]). Shared with nothing
-    /// but the registry; recording never takes a shard lock.
+    /// Flight recorder: one trace ring plus the tail-sampled retention
+    /// buffer ([`wilocator_obs::Tracer`]). Shared with nothing but the
+    /// registry; recording never takes the server lock.
     tracer: Arc<Tracer>,
     /// The epoch-published query snapshot cell: readers answer rider
-    /// queries from here without ever touching a shard lock.
+    /// queries from here without ever touching the server lock.
     snapshot: SnapshotCell,
     /// Query-plane accounting (endpoint counts, publication progress,
     /// staleness); shared with the serving front end.
     query_metrics: Arc<QueryMetrics>,
-    /// Quality observability plane: per-shard retro-prediction ledgers
-    /// beside (never inside) the shard locks, evaluated on the publish
-    /// path into the snapshot's quality sections.
+    /// Quality observability plane: the retro-prediction ledger beside
+    /// (never inside) the server lock, evaluated on the publish path
+    /// into the snapshot's quality sections.
     quality: QualityPlane,
-    /// Every ledger (server, shards, predictors, route positioners),
+    /// Every ledger (server, ingest, predictor, route positioners),
     /// labelled; [`WiLocator::metrics`] gathers it into one snapshot.
     registry: Registry,
 }
 
 impl WiLocator {
     /// Builds the server: constructs the route tile indexes from the
-    /// geo-tag field (the SVD construction step of Fig. 4), registers
-    /// route names for announcement-based identification, and groups
-    /// routes into shards by shared segments.
+    /// geo-tag field (the SVD construction step of Fig. 4) and registers
+    /// route names for announcement-based identification.
     pub fn new<F: SignalField + ?Sized>(
         field: &F,
         routes: Vec<Route>,
@@ -371,44 +319,33 @@ impl WiLocator {
             );
             identifier.register(route.id(), route.name());
         }
-        let (assignment, count) = shard_partition(&routes);
-        let shard_of_route: HashMap<RouteId, usize> = routes
-            .iter()
-            .zip(&assignment)
-            .map(|(r, &s)| (r.id(), s))
-            .collect();
-        let mut shard_metrics = Vec::with_capacity(count.max(1));
-        let shards = (0..count.max(1))
-            .map(|i| {
-                let label = format!("shard=\"{i}\"");
-                let metrics = ShardMetrics::shared();
-                registry.register(
-                    label.clone(),
-                    metrics.clone() as Arc<dyn wilocator_obs::Collect>,
-                );
-                shard_metrics.push(metrics);
-                let predictor = ArrivalPredictor::new(config.predictor);
-                registry.register(
-                    label,
-                    predictor.metrics().clone() as Arc<dyn wilocator_obs::Collect>,
-                );
-                RwLock::new(Shard {
-                    buses: HashMap::new(),
-                    store: TravelTimeStore::new(),
-                    predictor,
-                    traffic: TrafficMapGenerator::new(config.traffic),
-                    quality_scratch: Vec::new(),
-                })
-            })
-            .collect();
+        let ingest_metrics = ShardMetrics::shared();
+        registry.register(
+            "",
+            ingest_metrics.clone() as Arc<dyn wilocator_obs::Collect>,
+        );
+        let predictor = ArrivalPredictor::new(config.predictor);
+        registry.register(
+            "",
+            predictor.metrics().clone() as Arc<dyn wilocator_obs::Collect>,
+        );
+        let state = RwLock::new(State {
+            buses: HashMap::new(),
+            store: TravelTimeStore::new(),
+            predictor,
+            traffic: TrafficMapGenerator::new(config.traffic),
+            quality_scratch: Vec::new(),
+        });
         let server_metrics = ServerMetrics::shared();
         registry.register(
             "",
             server_metrics.clone() as Arc<dyn wilocator_obs::Collect>,
         );
-        let tracer = Arc::new(Tracer::new(config.trace, count.max(1), clock));
+        // One trace ring: ingest spans already finish one at a time
+        // under the server lock, and query spans are sampled.
+        let tracer = Arc::new(Tracer::new(config.trace, 1, clock));
         registry.register("", tracer.clone() as Arc<dyn wilocator_obs::Collect>);
-        let quality = QualityPlane::new(count.max(1), config.quality);
+        let quality = QualityPlane::new(config.quality);
         registry.register(
             "",
             quality.metrics().clone() as Arc<dyn wilocator_obs::Collect>,
@@ -420,10 +357,8 @@ impl WiLocator {
             routes,
             positioners,
             identifier,
-            shard_of_route,
-            shards,
-            bus_dir: RwLock::new(HashMap::new()),
-            shard_metrics,
+            state,
+            ingest_metrics,
             server_metrics,
             tracer,
             snapshot: SnapshotCell::new(SNAPSHOT_SLOTS),
@@ -443,26 +378,10 @@ impl WiLocator {
         self.routes.iter().find(|r| r.id() == id)
     }
 
-    /// Number of shards (connected components of edge-sharing routes).
-    pub fn shard_count(&self) -> usize {
-        self.shards.len()
-    }
-
-    fn shard_for_route(&self, route: RouteId) -> Result<usize, CoreError> {
-        self.shard_of_route
-            .get(&route)
-            .copied()
-            .ok_or(CoreError::UnknownRoute(route))
-    }
-
-    fn shard_for_bus(&self, bus: BusKey) -> Result<usize, CoreError> {
-        unpoisoned(self.bus_dir.read())
-            .get(&bus)
-            .copied()
-            .ok_or(CoreError::UnknownBus(bus))
-    }
-
     /// Registers a bus on a route (driver text input path of §V-A.1).
+    /// Registering a bus that is already registered starts a new trip:
+    /// the previous one ends exactly as [`WiLocator::finish_bus`] would
+    /// end it, except that the bus stays active.
     ///
     /// # Errors
     ///
@@ -472,29 +391,18 @@ impl WiLocator {
             .positioners
             .get(&route)
             .ok_or(CoreError::UnknownRoute(route))?;
-        let shard_idx = self.shard_for_route(route)?;
-        let mut dir = unpoisoned(self.bus_dir.write());
-        // Re-registration starts a new trip: drop the previous tracker
-        // and its pending ETAs first (one shard lock at a time, directory
-        // lock held throughout).
-        let previous = dir.insert(bus, shard_idx);
-        if let Some(old) = previous {
-            let mut shard = unpoisoned(self.shards[old].write());
-            self.drop_bus(&mut shard, old, bus);
+        let fresh = BusState {
+            route,
+            tracker: BusTracker::new(positioner.clone()),
+            committed_upto: 0,
+            quality: BusQuality::default(),
+        };
+        let state = &mut *unpoisoned(self.state.write());
+        match state.buses.insert(bus, fresh) {
+            Some(trip) => self.end_trip(&mut state.store, bus, trip),
+            None => self.server_metrics.active_buses.inc(),
         }
         self.server_metrics.buses_registered_total.inc();
-        if previous.is_none() {
-            self.server_metrics.active_buses.inc();
-        }
-        unpoisoned(self.shards[shard_idx].write()).buses.insert(
-            bus,
-            BusState {
-                route,
-                tracker: BusTracker::new(positioner.clone()),
-                committed_upto: 0,
-                quality: BusQuality::default(),
-            },
-        );
         Ok(())
     }
 
@@ -506,27 +414,23 @@ impl WiLocator {
         Some(route)
     }
 
-    /// One report against an already-locked shard: track, then commit the
-    /// traversals the new fix has cleared. The outcome of every report
-    /// lands in exactly one of the shard ledger's stale/absorbed/fix
-    /// counters, chosen by [`ShardMetrics::outcome_total`]. On a fix, the
-    /// quality plane folds AP churn and settles pending retro-predictions
-    /// (its per-shard mutex nests inside this shard's write lock — the
-    /// documented order).
+    /// One report of a registered bus, with the server lock held for
+    /// write: track, then commit the traversals the new fix has cleared
+    /// into `store`. The outcome of every report lands in exactly one of
+    /// the ingest ledger's stale/absorbed/fix counters, chosen by
+    /// [`ShardMetrics::outcome_total`]. On a fix, the quality plane
+    /// folds AP churn and settles pending retro-predictions (its ledger
+    /// mutex nests inside the server lock — the documented order).
     // lint: hot_path(deny: blocks_or_syscalls, unbounded_iteration)
     fn ingest_locked(
         &self,
-        shard: &mut Shard,
-        shard_idx: usize,
+        bus: &mut BusState,
+        store: &mut TravelTimeStore,
+        scratch: &mut Vec<ApId>,
         report: &ScanReport,
         trace: Option<&TraceCtx<'_>>,
-    ) -> IngestResult {
-        let Some(bus) = shard.buses.get_mut(&report.bus) else {
-            // The bus finished between the directory read and this lock.
-            self.server_metrics.unknown_bus_total.inc();
-            return Err(CoreError::UnknownBus(report.bus));
-        };
-        let metrics = &self.shard_metrics[shard_idx];
+    ) -> Option<Fix> {
+        let metrics = &self.ingest_metrics;
         metrics.reports_total.inc();
         let outcome = bus.tracker.ingest_classified_traced(report, trace);
         metrics.outcome_total(&outcome).inc();
@@ -535,7 +439,7 @@ impl WiLocator {
             t.field("outcome", outcome.label());
         }
         match outcome {
-            IngestOutcome::Stale | IngestOutcome::NoFix => Ok(None),
+            IngestOutcome::Stale | IngestOutcome::NoFix => None,
             IngestOutcome::Fix(fix) => {
                 if let Some(t) = trace.filter(|_| fix.method == FixMethod::DeadReckoned) {
                     t.flag_anomaly("dead_reckoned");
@@ -547,71 +451,84 @@ impl WiLocator {
                     t.flag_anomaly("tile_mapping_miss");
                 }
                 let span = trace.map(|t| t.child_span("commit"));
-                let committed = bus.drain_cleared(&mut shard.store, self.config.commit_margin_m);
+                let committed = bus.drain_cleared(store, self.config.commit_margin_m);
                 metrics.traversals_committed_total.add(committed);
                 if let Some(sp) = &span {
                     sp.field("traversals", committed);
                 }
                 self.quality.on_fix(
-                    shard_idx,
                     report,
                     &fix,
                     bus.tracker.trajectory().fixes(),
                     &mut bus.quality,
-                    &mut shard.quality_scratch,
+                    scratch,
                     trace,
                 );
-                Ok(Some(fix))
+                Some(fix)
             }
         }
     }
 
-    /// Ingests `reports[i]` for each `i` of `indices`, in that order, under
-    /// one acquisition of shard `shard_idx`'s write lock, and stores each
-    /// outcome in `results[i]`. Every indexed report's bus must map to
-    /// this shard. Each report gets its own root span. One clock read per
-    /// report: each report's end stamp is the next one's start, so tracing
-    /// adds no clock reads, and the pair bounding the group is the
-    /// lock-hold sample.
+    /// Ingests `reports` in input order under one acquisition of the
+    /// server's write lock, storing each outcome in `results` (same
+    /// length). Reports of unregistered buses are rejected first, in
+    /// input order. The rest get a root span each and one clock read
+    /// each: a report's end stamp is the next one's start, so tracing
+    /// adds no clock reads, and the pair bounding the run is the
+    /// lock-hold sample. A call with no registered bus records none.
     // lint: hot_path(deny: blocks_or_syscalls, unbounded_iteration)
-    fn ingest_group(
-        &self,
-        shard_idx: usize,
-        reports: &[ScanReport],
-        indices: &[usize],
-        results: &mut [IngestResult],
-    ) {
-        let poisoned = self.shards[shard_idx].is_poisoned();
-        let mut shard = unpoisoned(self.shards[shard_idx].write());
+    fn ingest_all(&self, reports: &[ScanReport], results: &mut [IngestResult]) {
+        let poisoned = self.state.is_poisoned();
+        let state = &mut *unpoisoned(self.state.write());
+        let mut registered = false;
+        for (report, result) in reports.iter().zip(results.iter_mut()) {
+            if state.buses.contains_key(&report.bus) {
+                registered = true;
+            } else {
+                *result = self.reject_unknown_bus(report.bus);
+            }
+        }
+        if !registered {
+            return;
+        }
         let clock = self.tracer.clock();
         let hold_start = clock.now_us();
         let mut prev = hold_start;
-        for &i in indices {
-            let report = &reports[i];
-            let trace =
-                self.tracer
-                    .start_root_span_keyed(shard_idx, "ingest", prev, trace_key(report));
+        for (report, result) in reports.iter().zip(results.iter_mut()) {
+            // Unregistered buses were rejected above.
+            let Some(bus) = state.buses.get_mut(&report.bus) else {
+                continue;
+            };
+            let trace = self
+                .tracer
+                .start_root_span_keyed(0, "ingest", prev, trace_key(report));
             if let Some(t) = &trace {
                 t.field("bus", report.bus.0);
                 if poisoned {
                     t.flag_anomaly("lock_poison_recovered");
                 }
             }
-            results[i] = self.ingest_locked(&mut shard, shard_idx, report, trace.as_ref());
+            *result = Ok(self.ingest_locked(
+                bus,
+                &mut state.store,
+                &mut state.quality_scratch,
+                report,
+                trace.as_ref(),
+            ));
             let now = clock.now_us();
             if let Some(t) = trace {
                 t.finish_at(now);
             }
             prev = now;
         }
-        self.shard_metrics[shard_idx]
+        self.ingest_metrics
             .lock_hold_us
             .record(prev.saturating_sub(hold_start));
     }
 
-    /// Rejects a report whose bus the directory does not know: records an
-    /// anomaly-flagged root span (shard 0 hosts directory-level traces) so
-    /// unknown buses show up in the flight recorder, and counts it.
+    /// Rejects a report whose bus is not registered: records an
+    /// anomaly-flagged root span so unknown buses show up in the flight
+    /// recorder, and counts it.
     fn reject_unknown_bus(&self, bus: BusKey) -> IngestResult {
         let trace = self.tracer.start_root_span(0, "ingest");
         if let Some(t) = &trace {
@@ -633,24 +550,21 @@ impl WiLocator {
     /// Returns [`CoreError::UnknownBus`] for unregistered buses.
     pub fn ingest(&self, report: &ScanReport) -> IngestResult {
         self.server_metrics.ingest_total.inc();
-        let Ok(shard_idx) = self.shard_for_bus(report.bus) else {
-            return self.reject_unknown_bus(report.bus);
-        };
         let mut result = [Ok(None)];
-        self.ingest_group(shard_idx, std::slice::from_ref(report), &[0], &mut result);
+        self.ingest_all(std::slice::from_ref(report), &mut result);
         let [result] = result;
         result
     }
 
-    /// Ingests a batch of scan reports, returning one result per report in
-    /// input order.
+    /// Ingests a batch of scan reports under one acquisition of the
+    /// server lock, returning one result per report in input order, then
+    /// publishes a snapshot.
     ///
-    /// Reports are grouped by shard under one directory read, and each
-    /// busy shard's group is ingested under a single lock acquisition, in
-    /// shard order. Relative order of reports for the same bus is
-    /// preserved, so a batch produces exactly the per-bus fix sequences
-    /// and store contents that the same reports would produce through
-    /// [`WiLocator::ingest`] one at a time.
+    /// Reports are ingested in input order, so a batch produces exactly
+    /// the per-bus fix sequences and store contents that the same
+    /// reports would produce through [`WiLocator::ingest`] one at a
+    /// time. An unregistered bus errors in place without failing the
+    /// rest of the batch.
     // lint: hot_path(deny: blocks_or_syscalls, unbounded_iteration)
     pub fn ingest_batch(&self, reports: &[ScanReport]) -> Vec<IngestResult> {
         self.server_metrics.ingest_batches_total.inc();
@@ -659,21 +573,7 @@ impl WiLocator {
             .add(reports.len() as u64);
         self.server_metrics.batch_size.record(reports.len() as u64);
         let mut results: Vec<IngestResult> = vec![Ok(None); reports.len()];
-        let mut groups: Vec<Vec<usize>> = vec![Vec::new(); self.shards.len()];
-        {
-            let dir = unpoisoned(self.bus_dir.read());
-            for (i, report) in reports.iter().enumerate() {
-                match dir.get(&report.bus) {
-                    Some(&s) => groups[s].push(i),
-                    None => results[i] = self.reject_unknown_bus(report.bus),
-                }
-            }
-        }
-        for (s, indices) in groups.iter().enumerate() {
-            if !indices.is_empty() {
-                self.ingest_group(s, reports, indices, &mut results);
-            }
-        }
+        self.ingest_all(reports, &mut results);
         self.publish_after_batch(reports);
         results
     }
@@ -685,57 +585,50 @@ impl WiLocator {
     ///
     /// Returns [`CoreError::UnknownBus`] for unregistered buses.
     pub fn finish_bus(&self, bus: BusKey) -> Result<(), CoreError> {
-        let shard_idx = {
-            let mut dir = unpoisoned(self.bus_dir.write());
-            dir.remove(&bus).ok_or(CoreError::UnknownBus(bus))?
-        };
+        let state = &mut *unpoisoned(self.state.write());
+        let trip = state.buses.remove(&bus).ok_or(CoreError::UnknownBus(bus))?;
         self.server_metrics.active_buses.dec();
         self.server_metrics.buses_finished_total.inc();
-        let metrics = &self.shard_metrics[shard_idx];
-        let mut shard = unpoisoned(self.shards[shard_idx].write());
-        let _hold = metrics.lock_hold_us.time_with(self.tracer.clock());
-        let mut state = self
-            .drop_bus(&mut shard, shard_idx, bus)
-            .ok_or(CoreError::UnknownBus(bus))?;
-        let committed = state.drain_cleared(&mut shard.store, f64::NEG_INFINITY);
-        metrics.traversals_committed_total.add(committed);
+        let _hold = self
+            .ingest_metrics
+            .lock_hold_us
+            .time_with(self.tracer.clock());
+        self.end_trip(&mut state.store, bus, trip);
         Ok(())
     }
 
-    /// Removes `bus`'s state from `shard` (index `shard_idx`, write lock
-    /// held) together with its pending retro-predictions: no fix of the
-    /// ended trip will settle them, and the next trip under the same key
-    /// must neither be blocked by them nor settle them.
-    fn drop_bus(&self, shard: &mut Shard, shard_idx: usize, bus: BusKey) -> Option<BusState> {
-        let state = shard.buses.remove(&bus)?;
-        self.quality.forget_bus(shard_idx, bus);
-        Some(state)
+    /// Ends the trip whose state `trip` was just taken out of the bus
+    /// table (server write lock held): drops its pending
+    /// retro-predictions, which no fix of the ended trip will settle and
+    /// which the next trip under the same key must neither be blocked by
+    /// nor settle, then commits every traversal the trip crossed.
+    fn end_trip(&self, store: &mut TravelTimeStore, bus: BusKey, mut trip: BusState) {
+        self.quality.forget_bus(bus);
+        let committed = trip.drain_cleared(store, f64::NEG_INFINITY);
+        self.ingest_metrics
+            .traversals_committed_total
+            .add(committed);
     }
 
     /// The latest position fix of a bus.
     pub fn position(&self, bus: BusKey) -> Option<Fix> {
-        let shard_idx = self.shard_for_bus(bus).ok()?;
-        let shard = unpoisoned(self.shards[shard_idx].read());
-        shard.buses.get(&bus)?.tracker.trajectory().last().copied()
+        let state = unpoisoned(self.state.read());
+        state.buses.get(&bus)?.tracker.trajectory().last().copied()
     }
 
     /// The tracked trajectory fixes of a bus.
     pub fn trajectory(&self, bus: BusKey) -> Option<Vec<Fix>> {
-        let shard_idx = self.shard_for_bus(bus).ok()?;
-        let shard = unpoisoned(self.shards[shard_idx].read());
-        Some(shard.buses.get(&bus)?.tracker.trajectory().fixes().to_vec())
+        let state = unpoisoned(self.state.read());
+        Some(state.buses.get(&bus)?.tracker.trajectory().fixes().to_vec())
     }
 
     /// Offline training (§V-A.3): seasonal index → slot partitions, from
-    /// everything recorded before `as_of`. Each shard trains its own
-    /// predictor from its own store; training is per-segment, and
-    /// segments partition across shards, so this equals training one
-    /// global predictor on the merged store.
+    /// everything recorded before `as_of`, then a publish.
     pub fn train(&self, as_of: f64) {
         self.server_metrics.train_calls_total.inc();
-        for lock in &self.shards {
-            let shard = &mut *unpoisoned(lock.write());
-            shard.predictor.train(&shard.store, as_of);
+        {
+            let state = &mut *unpoisoned(self.state.write());
+            state.predictor.train(&state.store, as_of);
         }
         self.publish_snapshot(as_of);
     }
@@ -747,23 +640,22 @@ impl WiLocator {
     ///
     /// Returns [`CoreError::UnknownBus`] / [`CoreError::UnknownStop`].
     pub fn predict_arrival(&self, bus: BusKey, stop: StopId) -> Result<f64, CoreError> {
-        let shard_idx = self.shard_for_bus(bus)?;
-        let shard = unpoisoned(self.shards[shard_idx].read());
-        let state = shard.buses.get(&bus).ok_or(CoreError::UnknownBus(bus))?;
-        let route = state.tracker.route();
+        let state = unpoisoned(self.state.read());
+        let tracked = state.buses.get(&bus).ok_or(CoreError::UnknownBus(bus))?;
+        let route = tracked.tracker.route();
         let stop = route.stop(stop).ok_or(CoreError::UnknownStop(stop))?;
-        let fix = state
+        let fix = tracked
             .tracker
             .trajectory()
             .last()
             .ok_or(CoreError::UnknownBus(bus))?;
-        let trace = self.tracer.start_root_span(shard_idx, "predict_arrival");
+        let trace = self.tracer.start_root_span(0, "predict_arrival");
         if let Some(t) = &trace {
             t.field("bus", bus.0);
             t.field("stop", stop.id().0);
         }
-        Ok(shard.predictor.predict_arrival_traced(
-            &shard.store,
+        Ok(state.predictor.predict_arrival_traced(
+            &state.store,
             route,
             fix.s,
             fix.time_s,
@@ -786,11 +678,10 @@ impl WiLocator {
         stop_s: f64,
     ) -> Result<f64, CoreError> {
         let r = self.route(route).ok_or(CoreError::UnknownRoute(route))?;
-        let shard_idx = self.shard_for_route(route)?;
-        let shard = unpoisoned(self.shards[shard_idx].read());
-        Ok(shard
+        let state = unpoisoned(self.state.read());
+        Ok(state
             .predictor
-            .predict_arrival(&shard.store, r, current_s, t, stop_s))
+            .predict_arrival(&state.store, r, current_s, t, stop_s))
     }
 
     /// Rider-facing query (the paper's third component, the trip-plan
@@ -807,9 +698,7 @@ impl WiLocator {
     ) -> Result<Vec<(BusKey, f64)>, CoreError> {
         let r = self.route(route).ok_or(CoreError::UnknownRoute(route))?;
         let stop = r.stop(stop).ok_or(CoreError::UnknownStop(stop))?;
-        let shard_idx = self.shard_for_route(route)?;
-        let shard = unpoisoned(self.shards[shard_idx].read());
-        Ok(shard
+        Ok(unpoisoned(self.state.read())
             .arrival_table(r, stop.s(), true)
             .into_iter()
             .map(|entry| (entry.bus, entry.eta_s))
@@ -823,11 +712,10 @@ impl WiLocator {
     /// Returns [`CoreError::UnknownRoute`] for unserved routes.
     pub fn traffic_map(&self, route: RouteId, t: f64) -> Result<Vec<SegmentState>, CoreError> {
         let r = self.route(route).ok_or(CoreError::UnknownRoute(route))?;
-        let shard_idx = self.shard_for_route(route)?;
-        let shard = unpoisoned(self.shards[shard_idx].read());
-        Ok(shard
+        let state = unpoisoned(self.state.read());
+        Ok(state
             .traffic
-            .route_map(&shard.store, &shard.predictor, r, t))
+            .route_map(&state.store, &state.predictor, r, t))
     }
 
     /// Auto-publication hook: after a batch lands, publish a snapshot
@@ -847,7 +735,7 @@ impl WiLocator {
     /// Builds and publishes a fresh immutable [`QuerySnapshot`] for
     /// stream time `as_of`, returning the new epoch.
     ///
-    /// The builder takes each shard's *read* lock once, computes every
+    /// The builder takes the server's *read* lock once, computes every
     /// bus view, arrival table and traffic map from that one coherent
     /// pass, and hands the result to the snapshot cell — readers switch
     /// to it atomically and never observe a half-built view. Arrival
@@ -864,8 +752,8 @@ impl WiLocator {
         epoch
     }
 
-    /// The latest published query snapshot. Never touches a shard lock
-    /// or the publish gate: one atomic load, one uncontended slot read
+    /// The latest published query snapshot. Never touches the server
+    /// lock or the publish gate: one atomic load, one uncontended slot read
     /// lock, one `Arc` clone.
     pub fn query_snapshot(&self) -> Arc<QuerySnapshot> {
         self.snapshot.read()
@@ -889,56 +777,50 @@ impl WiLocator {
         &self.query_metrics
     }
 
-    /// Maintenance hook: runs `f` while holding `shard`'s *write* lock,
-    /// returning `None` for an out-of-range shard index. Exists so tests
-    /// can prove the read path's independence from ingest: queries issued
-    /// from inside `f` must still complete, because snapshot reads never
-    /// acquire a shard lock.
-    pub fn quiesce_shard<T>(&self, shard: usize, f: impl FnOnce() -> T) -> Option<T> {
-        let lock = self.shards.get(shard)?;
-        let _guard = unpoisoned(lock.write());
-        Some(f())
+    /// Maintenance hook: runs `f` while holding the server's *write*
+    /// lock. Exists so tests can prove the read path's independence from
+    /// ingest: queries issued from inside `f` must still complete,
+    /// because snapshot reads never acquire the server lock.
+    pub fn quiesce<T>(&self, f: impl FnOnce() -> T) -> T {
+        let _guard = unpoisoned(self.state.write());
+        f()
     }
 
-    /// One coherent pass over the shards: every section of the snapshot
-    /// is computed from the same locked view of each shard.
+    /// One coherent pass under the server's read lock: every section of
+    /// the snapshot is computed from the same view.
     fn build_snapshot(&self, epoch: u64, as_of: f64) -> QuerySnapshot {
         let mut snap = QuerySnapshot::stamped(epoch, as_of);
-        for (idx, lock) in self.shards.iter().enumerate() {
-            let shard = unpoisoned(lock.read());
+        {
+            let state = unpoisoned(self.state.read());
             // lint: allow(unordered_iter) — lands in the snapshot's BTreeMap, which orders the published view by bus key
-            for (&key, state) in &shard.buses {
-                if let Some(&fix) = state.tracker.trajectory().last() {
+            for (&key, bus) in &state.buses {
+                if let Some(&fix) = bus.tracker.trajectory().last() {
                     snap.buses.insert(
                         key,
                         BusView {
-                            route: state.route,
+                            route: bus.route,
                             fix,
                         },
                     );
                 }
             }
             for route in &self.routes {
-                if self.shard_of_route.get(&route.id()) != Some(&idx) {
-                    continue;
-                }
                 for stop in route.stops() {
-                    let entries = shard.arrival_table(route, stop.s(), false);
+                    let entries = state.arrival_table(route, stop.s(), false);
                     // Record the published ETAs whose lead time entered a
-                    // horizon into the retro-prediction ledger (quality
-                    // mutex nests inside this shard read lock), pulling
-                    // each recipient bus's confirmation floor down to
-                    // this stop so its ingest hook knows work is due.
+                    // horizon into the retro-prediction ledger (its mutex
+                    // nests inside the server read lock), pulling each
+                    // recipient bus's confirmation floor down to this
+                    // stop so its ingest hook knows work is due.
                     self.quality.issue(
-                        idx,
                         route.id(),
                         stop.id(),
                         stop.s(),
                         as_of,
                         &entries,
                         |bus, floor_s| {
-                            if let Some(state) = shard.buses.get(&bus) {
-                                state.quality.floor_min(floor_s);
+                            if let Some(bus) = state.buses.get(&bus) {
+                                bus.quality.floor_min(floor_s);
                             }
                         },
                     );
@@ -946,15 +828,15 @@ impl WiLocator {
                 }
                 snap.traffic.insert(
                     route.id(),
-                    shard
+                    state
                         .traffic
-                        .route_map(&shard.store, &shard.predictor, route, as_of),
+                        .route_map(&state.store, &state.predictor, route, as_of),
                 );
             }
         }
         // Evaluate (or reuse, inside the sampling gap) the quality
-        // sections after every shard lock is released: the evaluation
-        // pass gathers the whole registry and must not extend any shard
+        // sections after the server lock is released: the evaluation
+        // pass gathers the whole registry and must not extend the
         // critical section.
         snap.quality = self.quality.sections(
             as_of,
@@ -965,15 +847,11 @@ impl WiLocator {
         snap
     }
 
-    /// Read access to a merged snapshot of the travel-time records across
-    /// all shards (evaluation hooks). Shard locks are taken one at a time
-    /// while the snapshot is assembled.
+    /// Read access to the live travel-time store (evaluation hooks).
+    /// `f` runs under the server's read lock, so it must not call back
+    /// into a method that writes.
     pub fn with_store<T>(&self, f: impl FnOnce(&TravelTimeStore) -> T) -> T {
-        let mut merged = TravelTimeStore::new();
-        for lock in &self.shards {
-            merged.merge_from(&unpoisoned(lock.read()).store);
-        }
-        f(&merged)
+        f(&unpoisoned(self.state.read()).store)
     }
 
     /// The positioner of a route (evaluation hooks).
@@ -982,12 +860,11 @@ impl WiLocator {
     }
 
     /// A point-in-time snapshot of every metric the server exposes:
-    /// server-wide transport counters, per-shard ingest ledgers (labelled
-    /// `shard="i"`), per-shard predictor accounting, and per-route
-    /// positioning accounting (labelled `route="<id>"`). Recording is
-    /// lock-free; gathering reads the atomics without touching any shard
-    /// lock, so this is safe to call from a scrape loop while ingestion
-    /// runs.
+    /// transport counters, the ingest ledger, predictor accounting (all
+    /// unlabelled), and per-route positioning accounting (labelled
+    /// `route="<id>"`). Recording is lock-free; gathering reads the
+    /// atomics without touching the server lock, so this is safe to call
+    /// from a scrape loop while ingestion runs.
     pub fn metrics(&self) -> MetricsSnapshot {
         self.registry.gather()
     }
@@ -1030,8 +907,8 @@ mod tests {
     use crate::tracker::segment_traversals;
     use wilocator_geo::Point;
     use wilocator_obs::FieldValue;
-    use wilocator_rf::{AccessPoint, ApId, Bssid, HomogeneousField, Reading, Scan};
-    use wilocator_road::NetworkBuilder;
+    use wilocator_rf::{AccessPoint, Bssid, HomogeneousField, Reading, Scan};
+    use wilocator_road::{EdgeId, NetworkBuilder};
 
     pub(crate) fn setup() -> (WiLocator, HomogeneousField) {
         setup_with_stops(3)
@@ -1105,8 +982,7 @@ mod tests {
     }
 
     /// Two disjoint 800 m streets, each carrying one route; a third route
-    /// rides the first street's segments. Routes 0 and 2 must share a
-    /// shard, route 1 must not.
+    /// rides the first street's segments.
     fn setup_two_streets() -> (WiLocator, HomogeneousField) {
         let mut b = NetworkBuilder::new();
         let n0 = b.add_node(Point::new(0.0, 0.0));
@@ -1284,17 +1160,6 @@ mod tests {
     }
 
     #[test]
-    fn shards_group_routes_by_shared_segments() {
-        let (server, _) = setup_two_streets();
-        assert_eq!(server.shard_count(), 2);
-        let s0 = server.shard_for_route(RouteId(0)).unwrap();
-        let s1 = server.shard_for_route(RouteId(1)).unwrap();
-        let s2 = server.shard_for_route(RouteId(2)).unwrap();
-        assert_eq!(s0, s2, "edge-sharing routes share a shard");
-        assert_ne!(s0, s1, "disjoint routes get their own shard");
-    }
-
-    #[test]
     fn batch_matches_sequential_ingest() {
         let (batched, field) = setup_two_streets();
         let (sequential, _) = setup_two_streets();
@@ -1314,7 +1179,7 @@ mod tests {
             }
         }
         // Interleave buses within the batch while keeping per-bus order,
-        // then split it in two: both halves reach both shards.
+        // then split it in two: both halves reach both streets.
         reports.sort_by(|a, b| a.time_s.partial_cmp(&b.time_s).unwrap());
         let (first, second) = reports.split_at(reports.len() / 2);
         for batch in [first, second] {
@@ -1346,32 +1211,22 @@ mod tests {
             "store records diverge"
         );
         let (b, q) = (batched.metrics(), sequential.metrics());
-        for shard in 0..batched.shard_count() {
-            let key = |family: &str| format!("{family}{{shard=\"{shard}\"}}");
-            for family in [
-                "wilocator_reports_total",
-                "wilocator_reports_stale_total",
-                "wilocator_reports_absorbed_total",
-                "wilocator_fixes_total",
-                "wilocator_traversals_committed_total",
-            ] {
-                assert_eq!(
-                    b.counter(&key(family)),
-                    q.counter(&key(family)),
-                    "{}",
-                    key(family)
-                );
-            }
-            // One lock-hold sample per busy shard per batch, and one per
-            // `ingest`.
-            let hold = key("wilocator_shard_lock_hold_us");
-            assert_eq!(b.histogram(&hold).unwrap().count, 2, "{hold}");
-            assert_eq!(
-                q.histogram(&hold).unwrap().count,
-                q.counter(&key("wilocator_reports_total")),
-                "{hold}"
-            );
+        for family in [
+            "wilocator_reports_total",
+            "wilocator_reports_stale_total",
+            "wilocator_reports_absorbed_total",
+            "wilocator_fixes_total",
+            "wilocator_traversals_committed_total",
+        ] {
+            assert_eq!(b.counter(family), q.counter(family), "{family}");
         }
+        // One lock-hold sample per batch, and one per `ingest`.
+        let hold = "wilocator_shard_lock_hold_us";
+        assert_eq!(b.histogram(hold).unwrap().count, 2);
+        assert_eq!(
+            q.histogram(hold).unwrap().count,
+            q.counter("wilocator_reports_total")
+        );
     }
 
     #[test]
@@ -1418,6 +1273,47 @@ mod tests {
                 .counter_family_total("wilocator_traversals_committed_total");
             assert_eq!(committed as usize, expected.len());
         }
+    }
+
+    #[test]
+    fn re_registration_ends_the_trip_like_finish_bus() {
+        // Drive bus 1 to the route end, end its trip, then read the
+        // stored traversals and the trip counters.
+        let end_trip = |end: &dyn Fn(&WiLocator)| {
+            let (server, field) = setup();
+            let route = server.routes()[0].clone();
+            server.register_bus(BusKey(1), RouteId(0)).unwrap();
+            for k in 0..=10 {
+                let t = k as f64 * 10.0;
+                server
+                    .ingest(&report(&field, &route, t * 8.0, t, 1))
+                    .unwrap();
+            }
+            end(&server);
+            let stored: Vec<(EdgeId, Traversal)> = server.with_store(|s| {
+                s.edges()
+                    .flat_map(|e| s.traversals(e).iter().map(move |&tr| (e, tr)))
+                    .collect()
+            });
+            let m = server.metrics();
+            let counters = [
+                m.counter_family_total("wilocator_traversals_committed_total"),
+                m.counter("wilocator_buses_finished_total"),
+                m.gauge("wilocator_active_buses") as u64,
+            ];
+            (stored, counters)
+        };
+        let (finished, [committed, finishes, active]) = end_trip(&|server| {
+            server.finish_bus(BusKey(1)).unwrap();
+            server.register_bus(BusKey(1), RouteId(0)).unwrap();
+        });
+        assert_eq!(finished.len(), 2, "both segments stored");
+        assert_eq!([committed, finishes, active], [2, 1, 1]);
+        let (re_registered, counters) = end_trip(&|server| {
+            server.register_bus(BusKey(1), RouteId(0)).unwrap();
+        });
+        assert_eq!(re_registered, finished, "the same traversals");
+        assert_eq!(counters, [2, 0, 1], "only finish_bus finishes a bus");
     }
 
     #[test]
@@ -1529,9 +1425,9 @@ mod tests {
             snap.counter_family_total("predict_seasonal_indexes_built_total"),
             2
         );
-        // Lock-hold spans were recorded under the shard label.
+        // Lock-hold spans were recorded.
         assert!(
-            snap.histogram("wilocator_shard_lock_hold_us{shard=\"0\"}")
+            snap.histogram("wilocator_shard_lock_hold_us")
                 .map(|h| h.count > 0)
                 .unwrap_or(false),
             "lock hold histogram populated"

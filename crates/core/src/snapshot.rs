@@ -1,7 +1,7 @@
 //! Epoch-published query snapshots: the rider-facing read path.
 //!
-//! The ingest side of the server mutates sharded state behind `RwLock`s;
-//! serving millions of riders from those locks would couple read latency
+//! The ingest side of the server mutates its state behind one `RwLock`;
+//! serving millions of riders from that lock would couple read latency
 //! to write contention. Instead the server periodically *publishes* an
 //! immutable [`QuerySnapshot`] — every bus's latest fix, every stop's
 //! arrival table, every route's traffic map — and readers answer from
@@ -18,10 +18,10 @@
 //!   lapped the whole ring between the two instructions — possible only
 //!   when a reader stalls for `N` full publish cycles mid-read). The
 //!   critical section is one reference-count increment — no allocation,
-//!   no shard lock, no waiting on writers (a writer never touches the
+//!   no ingest lock, no waiting on writers (a writer never touches the
 //!   slot the current epoch points at).
 //! * **Writers** serialize on a publish gate, build the next snapshot
-//!   (taking shard *read* locks one at a time), write it into slot
+//!   (under the server's *read* lock), write it into slot
 //!   `(epoch + 1) % N` under that slot's write lock, then advance the
 //!   epoch with a `Release` store. A writer can only wait on a reader
 //!   that has fallen `N − 1` whole publish cycles behind mid-clone.
@@ -92,7 +92,7 @@ pub struct SectionStamps {
 
 /// An immutable, internally consistent view of the serving state,
 /// published as one unit: positions, arrival tables and traffic maps all
-/// computed from the same pass over the shards.
+/// computed from the same pass over the server state.
 ///
 /// All collections are ordered (`BTreeMap`, pre-sorted `Vec`s) so that
 /// iteration — and therefore any serialized response — is deterministic.

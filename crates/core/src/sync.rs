@@ -5,7 +5,7 @@
 //! rule W010 `raw_sync` enforces it). In a normal build these are
 //! exactly the `std` types; under `RUSTFLAGS='--cfg wilocator_check'`
 //! they become `wilocator-check`'s virtual primitives, so the model
-//! checker explores the *real* publication and sharding code rather
+//! checker explores the *real* publication and locking code rather
 //! than a hand-copied model of it. See `crates/check` and DESIGN.md
 //! §14.
 

@@ -18,7 +18,7 @@ use wilocator_sim::{
 };
 
 /// Two disjoint 1.2 km streets, one route each, plus an express variant
-/// riding the first street — two shards' worth of routes.
+/// riding the first street.
 fn two_street_city(seed: u64) -> City {
     let mut b = NetworkBuilder::new();
     let mut aps = Vec::new();
@@ -160,7 +160,7 @@ fn fix_signature(server: &WiLocator, plan: &LoadPlan) -> Vec<(usize, Vec<(u64, u
         .collect()
 }
 
-/// Bit-exact snapshot of the travel-time store across shards: per edge,
+/// Bit-exact snapshot of the travel-time store: per edge,
 /// the `(route, t_enter, t_exit)` bit patterns of its records.
 type StoreSignature = Vec<(u32, Vec<(u32, u64, u64)>)>;
 
@@ -198,17 +198,6 @@ fn prediction_signature(server: &WiLocator) -> Vec<u64> {
         }
     }
     out
-}
-
-#[test]
-fn scene_spans_multiple_shards() {
-    let city = two_street_city(11);
-    let server = WiLocator::new(
-        &city.server_field,
-        city.routes.clone(),
-        WiLocatorConfig::default(),
-    );
-    assert_eq!(server.shard_count(), 2, "disjoint streets shard apart");
 }
 
 #[test]
@@ -346,7 +335,7 @@ fn batch_surfaces_unknown_buses_without_poisoning_the_rest() {
         }
     }
     // The error is metered exactly once, and the eight good reports all
-    // made it into the shard accounting.
+    // made it into the ingest accounting.
     let snap = server.metrics();
     assert_eq!(snap.counter("wilocator_unknown_bus_total"), 1);
     assert_eq!(snap.counter_family_total("wilocator_reports_total"), 8);
@@ -430,6 +419,8 @@ fn batch_duplicates_and_reordering_leave_documented_state() {
             + after.counter_family_total("wilocator_reports_stale_total"),
     );
 
-    // The shard is not poisoned: the trip's next real report still lands.
-    server.ingest(&to_report(events[8])).expect("shard healthy");
+    // The server is not poisoned: the trip's next real report still lands.
+    server
+        .ingest(&to_report(events[8]))
+        .expect("server healthy");
 }

@@ -25,7 +25,7 @@ pub struct Line {
     /// True if the comment is a doc comment (`///`, `//!`, `/**`, `/*!`).
     pub is_doc: bool,
     /// True if the line is inside `#[cfg(test)]` or `#[test]` scope.
-    /// Filled in by [`mark_test_scopes`].
+    /// Filled in by `mark_test_scopes`.
     pub is_test: bool,
     /// Identifier tokens of `code` with their byte offsets, tokenized
     /// once at parse time. Every later phase (unit scan, effect

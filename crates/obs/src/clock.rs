@@ -16,7 +16,7 @@ use std::time::Instant;
 ///
 /// Implementations must be cheap (a handful of instructions) and safe to
 /// call from any thread: the tracer reads the clock on every span open
-/// and close while shard locks are held.
+/// and close while the server's ingest lock is held.
 pub trait Clock: std::fmt::Debug + Send + Sync {
     /// The current time in microseconds since an arbitrary origin.
     ///

@@ -2,7 +2,7 @@
 //!
 //! Production-scale ingestion is only debuggable with per-stage
 //! accounting: how many reports arrived, how many produced fixes, which
-//! positioning fallbacks fired, how long shard locks were held. This
+//! positioning fallbacks fired, how long the ingest lock was held. This
 //! crate provides the instruments — built on `std::sync::atomic` only
 //! (the build environment has no crates.io access, mirroring
 //! `crates/compat/`):
@@ -13,7 +13,7 @@
 //! * [`MetricsSnapshot`] — plain-data aggregation with merge semantics, a
 //!   deterministic text form for golden tests, and Prometheus-style
 //!   exposition;
-//! * [`Collect`] / [`Registry`] — how per-shard and per-route metric
+//! * [`Collect`] / [`Registry`] — how per-route and other labelled metric
 //!   structs are labelled and gathered into one snapshot;
 //! * [`Clock`] — injectable microsecond time source ([`MonotonicClock`]
 //!   in production, [`SteppingClock`] in deterministic goldens);

@@ -188,8 +188,7 @@ impl fmt::Display for FieldValue {
 const INLINE_FIELDS: usize = 3;
 
 /// A span's structured fields: a small inline array that spills to a
-/// `Vec` only past [`INLINE_FIELDS`] entries. Iteration order is
-/// insertion order.
+/// `Vec` only once it is full. Iteration order is insertion order.
 #[derive(Debug, Clone)]
 pub struct FieldList {
     inline: [(&'static str, FieldValue); INLINE_FIELDS],

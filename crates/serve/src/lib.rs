@@ -19,8 +19,8 @@
 //! The crate splits into three layers, each testable without the one
 //! below: [`http`] (pure byte parsing), [`service`] (pure routing over
 //! a [`wilocator_core::WiLocator`]), and [`server`] (sockets and the
-//! worker pool). Data responses never touch a shard ingest lock — they
-//! read the immutable published snapshot, so query throughput is
+//! worker pool). Data responses never touch the server's ingest lock —
+//! they read the immutable published snapshot, so query throughput is
 //! independent of ingest contention (see `DESIGN.md` §10).
 
 #![forbid(unsafe_code)]

@@ -3,7 +3,7 @@
 //! `respond` is a pure function of the server state and the request —
 //! the transport in [`crate::server`] only moves bytes. Every data
 //! endpoint reads exactly one [`wilocator_core::QuerySnapshot`] (a
-//! single `Arc` clone; never a shard ingest lock), so a response is
+//! single `Arc` clone; never the ingest lock), so a response is
 //! internally consistent even while ingest is rewriting tracker state.
 //! Queries are metered through [`wilocator_core::QueryMetrics`] and
 //! traced through the flight recorder like ingest batches, so
@@ -66,29 +66,27 @@ const QUERY_TRACE_EVERY: u64 = 16;
 
 /// Routes one request against the server's published snapshot.
 ///
-/// Never takes a shard ingest lock: data endpoints read the epoch cell
+/// Never takes the server's ingest lock: data endpoints read the epoch cell
 /// once and answer entirely from the immutable snapshot. Records the
 /// request in the query ledger and opens a keyed `query` root span so
 /// the flight recorder tail-samples slow or failing queries.
 pub fn respond(server: &WiLocator, request: &crate::http::Request) -> Response {
     let metrics = server.query_metrics();
     let t0 = metrics.clock().now_us();
-    // Query tracing is sampled and the sampled spans are spread across
-    // the recorder's rings by key: rider traffic is orders of magnitude
-    // denser than ingest, and pushing every query trace through one
+    // Query tracing is sampled: rider traffic is orders of magnitude
+    // denser than ingest, and pushing every query trace through the
     // ring mutex would serialise the otherwise lock-free read path (the
     // since-removed query_scaling bench flatlined exactly that way before
     // sampling; EXPERIMENTS.md keeps its table).
     let key = target_key(&request.target);
     let ctx = if key.is_multiple_of(QUERY_TRACE_EVERY) {
-        let shard = (key % server.shard_count().max(1) as u64) as usize;
         // Span stamps come from the tracer's own clock, which in replays
         // is the deterministic span clock — never mix it with the query
         // clock.
         let span_start = server.tracer().clock().now_us();
         server
             .tracer()
-            .start_root_span_keyed(shard, "query", span_start, key)
+            .start_root_span_keyed(0, "query", span_start, key)
     } else {
         None
     };

@@ -1,6 +1,6 @@
 //! Deterministic ingestion load generation.
 //!
-//! Flattens a simulated [`Dataset`](crate::Dataset) into a time-ordered
+//! Flattens a simulated [`Dataset`] into a time-ordered
 //! stream of per-trip scan events and partitions it into *lanes* — per
 //! thread queues that preserve the relative order of every trip's events.
 //! The server's determinism guarantee is per bus ("same reports for a bus

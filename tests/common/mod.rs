@@ -15,8 +15,8 @@ use wilocator::sim::{
 };
 
 /// Two disjoint 1.2 km streets, one route each, plus an express variant
-/// riding the first street — the same two-shard scene the concurrency
-/// tests replay.
+/// riding the first street — the same scene the concurrency tests
+/// replay.
 pub fn two_street_city(seed: u64) -> City {
     let mut b = NetworkBuilder::new();
     let mut aps = Vec::new();

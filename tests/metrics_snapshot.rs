@@ -1,5 +1,5 @@
 //! Metrics-snapshot regression: a seeded simulated day replayed through
-//! the sharded server must reproduce the checked-in counter snapshot
+//! the server must reproduce the checked-in counter snapshot
 //! exactly, and that snapshot must be bit-identical whether the day is
 //! replayed through `ingest_batch` from 1, 2 or 4 threads.
 //!
@@ -59,7 +59,7 @@ fn seeded_day_counters_satisfy_accounting_invariants() {
     let snap = server.metrics();
 
     // Offered load == accepted load: the load generator's own stats agree
-    // with the server's per-shard accounting.
+    // with the server's ingest accounting.
     let offered = plan.stats();
     assert_eq!(
         offered.counter_family_total("loadgen_events_total"),
@@ -85,6 +85,11 @@ fn seeded_day_counters_satisfy_accounting_invariants() {
     assert!(snap.counter_family_total("svd_fix_exact_total") > 100);
     assert!(snap.counter_family_total("wilocator_traversals_committed_total") > 10);
     assert!(snap.counter_family_total("predict_train_total") >= 1);
+    // One predictor: each `train` call trains it once.
+    assert_eq!(
+        snap.counter_family_total("predict_train_total"),
+        snap.counter("wilocator_train_calls_total"),
+    );
     assert_eq!(
         snap.gauge("wilocator_active_buses"),
         0,

@@ -1,6 +1,6 @@
 //! Query-plane behaviour: staleness bounds under a paused publisher,
 //! publish-after-ingest/train visibility, and the read path's
-//! independence from shard ingest locks (the no-reader-blocking
+//! independence from the server's ingest lock (the no-reader-blocking
 //! guarantee the snapshot layer exists to provide).
 
 mod common;
@@ -151,20 +151,9 @@ fn ingest_and_train_publish_fresh_epochs() {
     );
 }
 
-/// Runs `f` with *every* shard's ingest write lock held at once.
-fn with_all_shards_locked(server: &WiLocator, shard: usize, f: &mut dyn FnMut()) {
-    if shard == server.shard_count() {
-        f();
-    } else {
-        server
-            .quiesce_shard(shard, || with_all_shards_locked(server, shard + 1, f))
-            .expect("shard index in range");
-    }
-}
-
-/// The acceptance criterion, made executable: with every shard ingest
-/// lock held (writers fully wedged), the whole query battery still
-/// completes, because the read path never touches a shard lock. A
+/// The acceptance criterion, made executable: with the server's ingest
+/// lock held for write (writers fully wedged), the whole query battery
+/// still completes, because the read path never touches that lock. A
 /// deadlock here surfaces as a clean timeout panic, not a hung test.
 #[test]
 fn queries_complete_while_every_shard_ingest_lock_is_held() {
@@ -194,8 +183,7 @@ fn queries_complete_while_every_shard_ingest_lock_is_held() {
         "/traffic/0".to_string(),
     ];
 
-    assert!(server.shard_count() >= 2, "scene should exercise >1 shard");
-    with_all_shards_locked(&server, 0, &mut || {
+    server.quiesce(|| {
         let (tx, rx) = mpsc::channel();
         let srv = Arc::clone(&server);
         let batch = targets.clone();
@@ -207,11 +195,11 @@ fn queries_complete_while_every_shard_ingest_lock_is_held() {
             let snap = srv.query_snapshot();
             let _ = tx.send((statuses, snap.epoch, snap.is_coherent()));
         });
-        // If any query were to block on a shard ingest lock, this recv
+        // If any query were to block on the ingest lock, this recv
         // times out and fails the test instead of hanging it.
         let (statuses, epoch, coherent) = rx
             .recv_timeout(Duration::from_secs(30))
-            .expect("queries must complete while every shard ingest lock is held");
+            .expect("queries must complete while the ingest lock is held");
         for (target, status) in statuses {
             assert_eq!(status, 200, "GET {target} under full ingest lockout");
         }
